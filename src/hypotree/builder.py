@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_NODE_BUDGET",
     "DecisionTree",
     "NodeBudgetExceeded",
+    "Routing",
     "TERMINAL",
     "WORKING_ATTR",
     "WORKING_HYP",
@@ -52,6 +53,11 @@ WORKING_ATTR = 1
 WORKING_HYP = 2
 _PENDING = -1
 
+# Most (occurrence, attribute) cells one routing step compares at once, so a
+# level of the routing pass never holds more than a few megabytes of
+# comparison and counterexample temporaries, however wide it is.
+_ROUTE_CHUNK_CELLS = 1 << 18
+
 
 class NodeBudgetExceeded(RuntimeError):
     """Raised when a build would allocate more nodes than its budget."""
@@ -64,13 +70,44 @@ class NodeBudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
+class Routing(NamedTuple):
+    """Where the base-table rows go under every truthful answer.
+
+    ``node_rows[i]`` is the number of rows reaching node ``i``, which is the
+    size of its recomputed path subtable.  ``rows``, ``terminals`` and
+    ``depths`` list the terminal occurrences, in no particular order: one
+    entry per row and terminal one of its truthful computations ends in,
+    with the number of edges from the root to that terminal.
+    """
+
+    node_rows: np.ndarray
+    rows: np.ndarray
+    terminals: np.ndarray
+    depths: np.ndarray
+
+
+def _of_kind(kind, which, count, rows, nodes):
+    """The occurrences whose node is of kind ``which``, of which there are ``count``."""
+    if count == len(kind):
+        return rows, nodes
+    at = kind == which
+    return rows[at], nodes[at]
+
+
+def _code_typecode(table: DecisionTable) -> str:
+    """Narrowest signed array typecode holding every value code of the table."""
+    width = max(len(vs) for vs in table.value_sets)
+    return "b" if width <= 127 else "h" if width <= 32767 else "q"
+
+
 class DecisionTree:
     """An arena-backed tree over a base table.
 
     Read-only numpy views of the arena are exposed for the metrics; per-node
     accessors materialize query and edge objects on demand.  Node 0 is the
     root.  ``path_row_counts[i]`` is the number of base-table rows matching
-    the equations on the path to node ``i``.
+    the equations on the path to node ``i``.  Hypotheses are also kept as
+    value codes, one row of ``base.n`` codes each, for the routing pass.
     """
 
     __slots__ = (
@@ -83,10 +120,13 @@ class DecisionTree:
         "_first",
         "_nchild",
         "_nrows",
+        "_hyp_codes",
+        "_views",
+        "_hyp_arrays",
     )
 
     def __init__(self, base, tree_type, measure_name, hypotheses,
-                 kind, label, first, nchild, nrows):
+                 kind, label, first, nchild, nrows, hyp_codes):
         self.base: DecisionTable = base
         self.tree_type: int = tree_type
         self.measure_name: str = measure_name
@@ -96,26 +136,46 @@ class DecisionTree:
         self._first = first
         self._nchild = nchild
         self._nrows = nrows
+        self._hyp_codes = hyp_codes
+        self._views: tuple[np.ndarray, ...] | None = None
+        self._hyp_arrays: tuple[np.ndarray, ...] | None = None
 
     @property
     def node_count(self) -> int:
         return len(self._kind)
 
+    def _arena(self) -> tuple[np.ndarray, ...]:
+        # Made once; the views follow later writes to the arena's elements.
+        if self._views is None:
+            self._views = (
+                self._as_np(self._kind, np.int8),
+                self._as_np(self._label, np.int64),
+                self._as_np(self._nrows, np.int64),
+                self._as_np(self._first, np.int64),
+                self._as_np(self._nchild, np.int32),
+            )
+        return self._views
+
     @property
     def kinds(self) -> np.ndarray:
-        return self._as_np(self._kind, np.int8)
+        return self._arena()[0]
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Decision of each terminal; attribute or hypothesis index of each query."""
+        return self._arena()[1]
 
     @property
     def path_row_counts(self) -> np.ndarray:
-        return self._as_np(self._nrows, np.int64)
+        return self._arena()[2]
 
     @property
     def first_children(self) -> np.ndarray:
-        return self._as_np(self._first, np.int64)
+        return self._arena()[3]
 
     @property
     def child_counts(self) -> np.ndarray:
-        return self._as_np(self._nchild, np.int32)
+        return self._arena()[4]
 
     @staticmethod
     def _as_np(arr: array, dtype) -> np.ndarray:
@@ -176,6 +236,95 @@ class DecisionTree:
             return out
         raise ConstraintError(f"node {node} is terminal and has no edges")
 
+    def route_rows(self) -> Routing:
+        """Route every base-table row along all of its truthful paths.
+
+        The pass moves (row, node) occurrences down one level at a time.  At
+        an attribute node a row takes the child of its value.  At a
+        hypothesis node a row equal to the hypothesis takes the holds child;
+        any other row takes one counterexample child per attribute where it
+        differs from the hypothesis.  Counterexample children follow the
+        holds child in (attribute, value) order without the hypothesis's own
+        value, so the child of attribute ``i`` with value code ``c`` sits at
+        ``first + 1 + offsets[i] - i + c - (c > hypothesis code)``.
+        Hypothesis levels are expanded in chunks of at most
+        ``_ROUTE_CHUNK_CELLS`` (row, attribute) cells, comparing codes in
+        the narrow dtype the hypotheses are stored in.
+        """
+        kinds, label, _, first, _ = self._arena()
+        codes = self.base.codes
+        n_rows = len(codes)
+        rows = np.arange(n_rows)
+        nodes = np.zeros(n_rows, dtype=np.int64)
+        level_nodes: list[np.ndarray] = []
+        ends_rows: list[np.ndarray] = []
+        ends_nodes: list[np.ndarray] = []
+        ends_depth: list[int] = []
+        while True:
+            level_nodes.append(nodes)
+            kind = kinds.take(nodes)
+            n_term, n_attr, n_hyp = np.bincount(kind, minlength=3).tolist()
+            if n_term:
+                r, v = _of_kind(kind, TERMINAL, n_term, rows, nodes)
+                ends_rows.append(r)
+                ends_nodes.append(v)
+                ends_depth.append(len(level_nodes) - 1)
+            if not n_attr + n_hyp:
+                break
+            next_rows: list[np.ndarray] = []
+            next_nodes: list[np.ndarray] = []
+            if n_attr:
+                r, v = _of_kind(kind, WORKING_ATTR, n_attr, rows, nodes)
+                next_rows.append(r)
+                next_nodes.append(first.take(v) + codes[r, label.take(v)])
+            if n_hyp:
+                r, v = _of_kind(kind, WORKING_HYP, n_hyp, rows, nodes)
+                self._expand_hypotheses(r, v, next_rows, next_nodes)
+            if len(next_rows) == 1:
+                rows, nodes = next_rows[0], next_nodes[0]
+            else:
+                rows, nodes = np.concatenate(next_rows), np.concatenate(next_nodes)
+
+        node_rows = np.bincount(
+            np.concatenate(level_nodes) if len(level_nodes) > 1 else nodes,
+            minlength=len(kinds),
+        )
+        del level_nodes  # free the occurrences before the terminal lists are joined
+        depths = np.array(ends_depth).repeat([len(v) for v in ends_nodes])
+        if len(ends_nodes) == 1:
+            return Routing(node_rows, ends_rows[0], ends_nodes[0], depths)
+        return Routing(
+            node_rows, np.concatenate(ends_rows), np.concatenate(ends_nodes), depths
+        )
+
+    def _expand_hypotheses(self, rows, nodes, next_rows, next_nodes) -> None:
+        """Append the child occurrences of (row, hypothesis node) occurrences."""
+        if self._hyp_arrays is None:
+            base = self.base
+            typecode = self._hyp_codes.typecode
+            self._hyp_arrays = (
+                base.codes.astype(typecode),
+                self._as_np(self._hyp_codes, typecode).reshape(-1, base.n),
+                1 + base.offsets[:-1] - np.arange(base.n),
+            )
+        codes, hyp_codes, skip = self._hyp_arrays
+        _, label, _, first, _ = self._arena()
+        chunk = max(1, _ROUTE_CHUNK_CELLS // codes.shape[1])
+        for lo in range(0, len(rows), chunk):
+            r, v = rows[lo : lo + chunk], nodes[lo : lo + chunk]
+            f = first.take(v)
+            c = codes.take(r, axis=0)
+            h = hyp_codes.take(label.take(v), axis=0)
+            differs = c != h
+            n_differ = np.add.reduce(differs, axis=1)
+            child = f[:, None] + skip + c - (c > h)
+            next_rows.append(r.repeat(n_differ))
+            next_nodes.append(child[differs])
+            if np.count_nonzero(n_differ) < len(r):
+                holds = n_differ == 0
+                next_rows.append(r[holds])
+                next_nodes.append(f[holds])
+
     def edge_systems(self, node: int) -> list[EquationSystem]:
         """Equation systems of the edges to each child, in child order."""
         systems = []
@@ -232,6 +381,7 @@ class _Builder:
         self.nchild = array("i")
         self.nrows = array("q")
         self.hypotheses: list[tuple[int, ...]] = []
+        self.hyp_codes = array(_code_typecode(table))
         self.queue: deque[tuple[int, np.ndarray]] = deque()
 
     def run(self) -> DecisionTree:
@@ -258,6 +408,7 @@ class _Builder:
             self.first,
             self.nchild,
             self.nrows,
+            self.hyp_codes,
         )
 
     def _append_terminal(self, decision: int, n_rows: int) -> None:
@@ -298,6 +449,7 @@ class _Builder:
             branches = []
             for i, delta in enumerate(values):
                 delta_pos = table.value_sets[i].index(delta)
+                self.hyp_codes.append(delta_pos)
                 branches.extend(
                     (i, pos)
                     for pos in range(len(table.value_sets[i]))

@@ -157,7 +157,8 @@ def _build_parser() -> _Parser:
     _add_table_args(check)
     check.add_argument("--simulation-bound", type=int, default=10 ** 6,
                        metavar="N",
-                       help="skip exhaustive simulation past this many paths per row")
+                       help="report the exhaustive simulation only while no row has "
+                            "more than this many paths")
 
     experiment = commands.add_parser("experiment", help="dataset/measure/type grid")
     experiment.add_argument("--tables", required=True, nargs="+", metavar="SRC",

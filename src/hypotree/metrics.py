@@ -8,7 +8,12 @@ counts, so counting is a single pass.
 
 Simulation replays one row through the tree.  At a hypothesis node whose
 hypothesis the row falsifies, a strategy picks which truthful counterexample
-to answer; validation can exhaustively enumerate those choices.
+to answer.  Validation takes every choice at once: one level-batched routing
+pass (``DecisionTree.route_rows``) sends each row down all of its truthful
+paths, and the same (row, node) occurrences serve as the structural check
+(recomputed subtable sizes, terminal labels) and as the exhaustive truthful
+simulation (the decision at every terminal a row reaches).  The simulation
+bound only decides whether the simulation's findings are reported.
 """
 
 from __future__ import annotations
@@ -133,51 +138,6 @@ def simulate(
     return tree.decision(node)
 
 
-def _count_paths(tree: DecisionTree, values: tuple[int, ...], bound: int) -> int:
-    """Number of distinct truthful computation paths for one row, capped."""
-    paths = 0
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        if tree.is_terminal(node):
-            paths += 1
-            if paths > bound:
-                return paths
-            continue
-        edges = tree.child_edges(node)
-        if edges[0][1] is not None:
-            attr = edges[0][1]
-            stack.extend(c for c, _, v in edges if v == values[attr])
-        elif edges[0][2] == values:
-            stack.append(edges[0][0])
-        else:
-            stack.extend(c for c, i, v in edges[1:] if values[i] == v)
-    return paths
-
-
-def _truthful_terminals(
-    tree: DecisionTree, values: tuple[int, ...], visited: set[int]
-) -> list[int]:
-    """Terminals reachable for a row under every counterexample strategy."""
-    terminals = []
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        visited.add(node)
-        if tree.is_terminal(node):
-            terminals.append(node)
-            continue
-        edges = tree.child_edges(node)
-        if edges[0][1] is not None:
-            attr = edges[0][1]
-            stack.extend(c for c, _, v in edges if v == values[attr])
-        elif edges[0][2] == values:
-            stack.append(edges[0][0])
-        else:
-            stack.extend(c for c, i, v in edges[1:] if values[i] == v)
-    return terminals
-
-
 @dataclass
 class ValidationReport:
     """Outcome of validate(): one violation per line, plus what actually ran."""
@@ -204,70 +164,77 @@ def validate(
     *,
     simulation_bound: int = 10**6,
 ) -> ValidationReport:
-    """Check terminal labels against recomputed path subtables, then simulate.
+    """Check a tree against the subtables and computations of its table rows.
 
-    Structural checks always run: a terminal with a nonempty path subtable
-    must carry its rows' single shared decision, an empty one must carry 0.
-    Exhaustive per-row simulation runs only while the number of computation
-    paths for every row stays within ``simulation_bound``; past the bound the
-    report notes that only the structural checks ran.
+    One routing pass (``DecisionTree.route_rows``) sends every row along all
+    of its truthful paths; it is both the structural check and the
+    exhaustive truthful simulation.  Structural checks: every node's
+    recorded subtable size must equal the number of rows reaching it, a
+    terminal no row reaches must carry 0, and a reached terminal must carry
+    its rows' single shared decision.  Simulation: every terminal a row
+    reaches must decide the row's decision.  The simulation is reported only
+    while no row has more than ``simulation_bound`` truthful computation
+    paths; past the bound the report notes that only the structural checks
+    ran.  Structural violations come first, by node; simulation violations
+    follow, by row and then terminal.
     """
     _check_pair(table, tree)
     report = ValidationReport()
-    values = table.values
-    stack: list[tuple[int, np.ndarray]] = [
-        (0, np.arange(table.n_rows, dtype=np.int64))
-    ]
-    while stack:
-        node, rows = stack.pop()
-        if tree.n_rows_at(node) != len(rows):
-            report.violations.append(
-                f"node {node}: recorded subtable size {tree.n_rows_at(node)} "
-                f"differs from recomputed {len(rows)}"
-            )
-        if tree.is_terminal(node):
-            got = tree.decision(node)
-            if len(rows) == 0:
-                if got != 0:
-                    report.violations.append(
-                        f"node {node}: empty-subtable terminal labeled {got}, expected 0"
-                    )
-            else:
-                decs = np.unique(table.decisions[rows])
-                if len(decs) > 1:
-                    report.violations.append(
-                        f"node {node}: terminal subtable is not degenerate"
-                    )
-                elif got != int(decs[0]):
-                    report.violations.append(
-                        f"node {node}: terminal labeled {got}, "
-                        f"but its subtable decides {int(decs[0])}"
-                    )
-            continue
-        for child, attr, payload in tree.child_edges(node):
-            if attr is None:
-                sub = rows[(values[rows] == np.asarray(payload)).all(axis=1)]
-            else:
-                sub = rows[values[rows, attr] == payload]
-            stack.append((child, sub))
+    routing = tree.route_rows()
+    reached = routing.node_rows
+    recorded = tree.path_row_counts
+    labels = tree.labels
+    decisions = table.decisions
+    wrong = labels.take(routing.terminals) != decisions.take(routing.rows)
+    any_wrong = bool(np.count_nonzero(wrong))
 
-    within_bound = all(
-        _count_paths(tree, tuple(map(int, values[r])), simulation_bound)
-        <= simulation_bound
-        for r in range(table.n_rows)
-    )
-    if within_bound:
-        report.simulation_ran = True
-        visited: set[int] = set()
-        for r in range(table.n_rows):
-            row = tuple(int(v) for v in values[r])
-            expected = int(table.decisions[r])
-            for terminal in _truthful_terminals(tree, row, visited):
-                got = tree.decision(terminal)
-                if got != expected:
-                    report.violations.append(
-                        f"row {r}: a computation reaches terminal {terminal} "
-                        f"deciding {got}, expected {expected}"
-                    )
-            report.rows_simulated += 1
+    structural: dict[int, list[str]] = {}
+    for node in (reached != recorded).nonzero()[0].tolist():
+        structural.setdefault(node, []).append(
+            f"node {node}: recorded subtable size {recorded[node]} "
+            f"differs from recomputed {reached[node]}"
+        )
+    empty = (tree.kinds == TERMINAL) & (reached == 0) & (labels != 0)
+    for node in empty.nonzero()[0].tolist():
+        structural.setdefault(node, []).append(
+            f"node {node}: empty-subtable terminal labeled {labels[node]}, expected 0"
+        )
+    if any_wrong:
+        # A reached terminal some row disagrees with is either mislabeled or
+        # not degenerate; the least and greatest decision of its rows tell.
+        bad = np.zeros(tree.node_count, dtype=bool)
+        bad[routing.terminals[wrong]] = True
+        at = bad.take(routing.terminals)
+        terminals = routing.terminals[at]
+        decided = decisions.take(routing.rows[at])
+        least = np.full(tree.node_count, decided.max())
+        greatest = np.full(tree.node_count, decided.min())
+        np.minimum.at(least, terminals, decided)
+        np.maximum.at(greatest, terminals, decided)
+        for node in bad.nonzero()[0].tolist():
+            if least[node] != greatest[node]:
+                line = f"node {node}: terminal subtable is not degenerate"
+            else:
+                line = (
+                    f"node {node}: terminal labeled {labels[node]}, "
+                    f"but its subtable decides {least[node]}"
+                )
+            structural.setdefault(node, []).append(line)
+    for node in sorted(structural):
+        report.violations.extend(structural[node])
+
+    paths = np.bincount(routing.rows, minlength=table.n_rows)
+    if paths.max(initial=0) > simulation_bound:
+        return report
+    report.simulation_ran = True
+    report.rows_simulated = table.n_rows
+    if any_wrong:
+        rows = routing.rows[wrong]
+        terminals = routing.terminals[wrong]
+        for at in np.lexsort((terminals, rows)).tolist():
+            row, terminal = rows[at], terminals[at]
+            report.violations.append(
+                f"row {row}: a computation reaches terminal {terminal} "
+                f"deciding {labels[terminal]}, expected {decisions[row]}"
+            )
     return report

@@ -8,10 +8,13 @@ decision; its coverage is the number of rows accepted.
 
 Per-row quality takes the best over all paths accepting the row: minimum
 premise length and maximum coverage.  Table-level figures average those
-per-row optima over all rows.  ``derive_rules`` materializes every rule;
-``rule_stats`` streams the same walk and keeps only the per-row optima,
-which is what the experiment harness uses on hypothesis-type trees whose
-path counts run into the millions.
+per-row optima over all rows.  Both read the rows of every path from one
+level-batched routing pass (``DecisionTree.route_rows``).  ``derive_rules``
+materializes every rule, walking only the nodes some row reaches to build
+the premises; ``rule_stats`` keeps only the per-row optima, a few array
+reductions over the terminal occurrences, which is what the experiment
+harness uses on hypothesis-type trees whose path counts run into the
+millions.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .table import ConstraintError, DecisionTable, EquationSystem
-from .builder import DecisionTree
+from .builder import WORKING_HYP, DecisionTree
 from .metrics import _check_pair
 
 __all__ = [
@@ -39,6 +42,9 @@ __all__ = [
     "rule_stats",
     "rules_to_csv",
 ]
+
+
+_NO_RULE = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -65,28 +71,38 @@ class CompletePath:
 
 
 def complete_paths(table: DecisionTable, tree: DecisionTree) -> Iterator[CompletePath]:
-    """Root-to-terminal paths accepting at least one row, left to right."""
+    """Root-to-terminal paths accepting at least one row, left to right.
+
+    The rows come from one routing pass; the walk only orders the reached
+    terminals and builds the edge systems, and never enters a node no row
+    reaches.
+    """
     _check_pair(table, tree)
-    values = table.values
-    stack: list[tuple[int, np.ndarray, tuple[EquationSystem, ...]]] = [
-        (0, np.arange(table.n_rows, dtype=np.int64), ())
-    ]
+    routing = tree.route_rows()
+    reached = routing.node_rows.tolist()
+    # Sorted by (terminal, row), the rows of each terminal form one slice.
+    keys = routing.terminals * table.n_rows + routing.rows
+    keys.sort()
+    rows = keys % table.n_rows
+    starts = keys.searchsorted(np.arange(len(reached)) * table.n_rows).tolist()
+    stack: list[tuple[int, tuple[EquationSystem, ...]]] = [(0, ())]
     while stack:
-        node, rows, edges = stack.pop()
-        if len(rows) == 0:
-            continue
+        node, edges = stack.pop()
         if tree.is_terminal(node):
-            yield CompletePath(edges, node, tree.decision(node), rows)
+            start = starts[node]
+            yield CompletePath(
+                edges, node, tree.decision(node), rows[start : start + reached[node]]
+            )
             continue
         children = []
         for child, attr, payload in tree.child_edges(node):
+            if not reached[child]:
+                continue
             if attr is None:
-                sub = rows[(values[rows] == np.asarray(payload)).all(axis=1)]
                 system = EquationSystem(enumerate(payload))
             else:
-                sub = rows[values[rows, attr] == payload]
                 system = EquationSystem([(attr, payload)])
-            children.append((child, sub, edges + (system,)))
+            children.append((child, edges + (system,)))
         stack.extend(reversed(children))
 
 
@@ -135,21 +151,24 @@ class RuleSet(RuleStats):
 def _finish_stats(
     table: DecisionTable, lengths: np.ndarray, coverages: np.ndarray
 ) -> None:
-    if table.n_rows and int(coverages.min()) == 0:
+    if np.count_nonzero(coverages) < table.n_rows:
         raise ConstraintError("some rows are not covered by any complete path")
 
 
 def derive_rules(table: DecisionTable, tree: DecisionTree) -> RuleSet:
     """One rule per complete path, with per-row optima over covering rules."""
-    lengths = np.full(table.n_rows, np.iinfo(np.int64).max, dtype=np.int64)
-    coverages = np.zeros(table.n_rows, dtype=np.int64)
     rules = []
+    path_rows = []
     for path in complete_paths(table, tree):
-        premise = reduce_system(path)
-        rule = DecisionRule(premise, path.decision, int(len(path.rows)))
-        rules.append(rule)
-        np.minimum.at(lengths, path.rows, rule.length)
-        np.maximum.at(coverages, path.rows, rule.coverage)
+        rules.append(DecisionRule(reduce_system(path), path.decision, len(path.rows)))
+        path_rows.append(path.rows)
+    lengths = np.full(table.n_rows, _NO_RULE, dtype=np.int64)
+    coverages = np.zeros(table.n_rows, dtype=np.int64)
+    if rules:
+        covered = np.array([rule.coverage for rule in rules])
+        rows = np.concatenate(path_rows)
+        np.minimum.at(lengths, rows, np.repeat([rule.length for rule in rules], covered))
+        np.maximum.at(coverages, rows, covered.repeat(covered))
     _finish_stats(table, lengths, coverages)
     return RuleSet(row_lengths=lengths, row_coverages=coverages, rules=rules)
 
@@ -160,31 +179,20 @@ def rule_stats(table: DecisionTable, tree: DecisionTree) -> RuleStats:
     A path's premise length is the number of its single-equation edges (all
     on distinct attributes once empty paths are pruned), or the full
     attribute count when the path ends by confirming a hypothesis, whose
-    system mentions every attribute.
+    system mentions every attribute.  Both, and each terminal's coverage,
+    are read off one routing pass.
     """
     _check_pair(table, tree)
-    values = table.values
-    lengths = np.full(table.n_rows, np.iinfo(np.int64).max, dtype=np.int64)
+    routing = tree.route_rows()
+    length = routing.depths
+    if tree.hypotheses:
+        confirms = np.zeros(tree.node_count, dtype=bool)
+        confirms[tree.first_children[tree.kinds == WORKING_HYP]] = True
+        length = np.where(confirms.take(routing.terminals), table.n, length)
+    lengths = np.full(table.n_rows, _NO_RULE, dtype=np.int64)
     coverages = np.zeros(table.n_rows, dtype=np.int64)
-    stack: list[tuple[int, np.ndarray, int, bool]] = [
-        (0, np.arange(table.n_rows, dtype=np.int64), 0, False)
-    ]
-    while stack:
-        node, rows, singles, via_hypothesis = stack.pop()
-        if len(rows) == 0:
-            continue
-        if tree.is_terminal(node):
-            length = table.n if via_hypothesis else singles
-            lengths[rows] = np.minimum(lengths[rows], length)
-            coverages[rows] = np.maximum(coverages[rows], len(rows))
-            continue
-        for child, attr, payload in tree.child_edges(node):
-            if attr is None:
-                sub = rows[(values[rows] == np.asarray(payload)).all(axis=1)]
-                stack.append((child, sub, singles, True))
-            else:
-                sub = rows[values[rows, attr] == payload]
-                stack.append((child, sub, singles + 1, via_hypothesis))
+    np.minimum.at(lengths, routing.rows, length)
+    np.maximum.at(coverages, routing.rows, routing.node_rows.take(routing.terminals))
     _finish_stats(table, lengths, coverages)
     return RuleStats(row_lengths=lengths, row_coverages=coverages)
 

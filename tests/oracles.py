@@ -173,6 +173,36 @@ def truthful_terminals(table: DecisionTable, tree, row_values):
     }
 
 
+def oracle_rule_stats(table: DecisionTable, tree):
+    """Per-row shortest premise and widest coverage, by a per-node walk.
+
+    Each node's rows are recomputed with value masks along ``child_edges``;
+    a premise is as long as its single-equation edges, or ``table.n`` when
+    the path confirms a hypothesis.  Returns ``(lengths, coverages)``.
+    """
+    values = table.values
+    lengths = np.full(table.n_rows, np.iinfo(np.int64).max, dtype=np.int64)
+    coverages = np.zeros(table.n_rows, dtype=np.int64)
+    stack = [(0, np.arange(table.n_rows), 0, False)]
+    while stack:
+        node, rows, singles, confirmed = stack.pop()
+        if len(rows) == 0:
+            continue
+        if tree.is_terminal(node):
+            length = table.n if confirmed else singles
+            lengths[rows] = np.minimum(lengths[rows], length)
+            coverages[rows] = np.maximum(coverages[rows], len(rows))
+            continue
+        for child, attr, payload in tree.child_edges(node):
+            if attr is None:
+                sub = rows[(values[rows] == np.asarray(payload)).all(axis=1)]
+                stack.append((child, sub, singles, True))
+            else:
+                sub = rows[values[rows, attr] == payload]
+                stack.append((child, sub, singles + 1, confirmed))
+    return lengths, coverages
+
+
 def oracle_realizable(table: DecisionTable, tree) -> int:
     union: set[int] = set()
     for r in range(table.n_rows):
