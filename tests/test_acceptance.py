@@ -16,7 +16,6 @@ rule length and coverage.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import random
 import time
@@ -24,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+import frozen
 import oracles
 from conftest import UCI_DIR, record_criterion, record_skip, uci_table
 from test_queries import random_table
@@ -186,24 +186,22 @@ def bool_results():
             table = table_of(fn)
             for m in MEASURES:
                 for k in TYPES:
-                    tree = build_tree(table, k, m)
-                    digest = hashlib.sha256(
-                        tree.serialize().encode("ascii")
-                    ).hexdigest()
-                    if k == 1:
-                        length = coverage = None
-                    else:
-                        stats = rule_stats(table, tree)
-                        length = stats.average_length
-                        coverage = stats.average_coverage
-                    out[(n, idx, m, k)] = (
-                        digest,
-                        depth(tree),
-                        realizable_count(table, tree),
-                        length,
-                        coverage,
-                    )
+                    out[(n, idx, m, k)] = frozen.bool_record(table, k, m)
     return out, time.perf_counter() - started
+
+
+def test_boolean_suites_match_frozen_digests(bool_results):
+    results, _ = bool_results
+    expect = frozen.load()["bool_suites"]
+    got = {
+        frozen.key(f"bool n={n}", m, k): frozen.bool_suite_digest(
+            results[(n, idx, m, k)] for idx in range(SUITE_SIZE)
+        )
+        for n in BOOL_NS
+        for m in MEASURES
+        for k in TYPES
+    }
+    assert got == expect
 
 
 def test_criterion_4_boolean_depth(bool_results):
