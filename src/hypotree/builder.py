@@ -2,22 +2,34 @@
 
 Nodes live in a flat arena of parallel arrays, so trees in the tens of
 millions of nodes fit in a few hundred megabytes and no recursion happens
-anywhere.  Construction is breadth-first; children of a node occupy
-consecutive ids, and a child's id always exceeds its parent's, which lets
-the metrics run as single forward passes.
+anywhere.  Construction is breadth-first, one level at a time; children of
+a node occupy consecutive ids, and a child's id always exceeds its parent's,
+which lets the metrics run as single forward passes.
 
 A node is either Terminal (a decision) or Working (a query).  Children are
 created for every possible answer of the chosen query against the base
 table; answers no row of the current subtable matches become Terminal nodes
 labeled 0.  Degenerate children are labeled immediately from the branch
-counts gathered during query selection, so only nondegenerate subtables are
-ever queued.
+counts gathered during query selection, so only nondegenerate subtables
+join the next level.
+
+A level with at least ``_WIDE_FRONTIER`` nodes to expand is built in a few
+NumPy passes over all of them: one ``bincount`` gives every node's (branch,
+decision) counts, the query choice reads a padded (node x attribute x value)
+view of the branch uncertainties, and the children are laid out on a
+(node x answer) grid whose nonzero order is the arena's child order.  The
+level is split into chunks of whole nodes holding at most ``_CHUNK_CELLS``
+cells, so its temporaries stay small however wide it is.  Narrower levels,
+which is every level of a small table, are expanded node by node
+(``_Builder._expand``), which costs less there; both ways build the same
+tree.  The node budget is checked before any child of a node is allocated:
+per node on a narrow level, once per chunk on a wide one, with the same
+count of allocated nodes in the error either way.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -25,7 +37,6 @@ import numpy as np
 from .table import ConstraintError, DecisionTable, EquationSystem
 from .queries import (
     AttributeQuery,
-    BranchStats,
     Hypothesis,
     HypothesisQuery,
     Query,
@@ -58,16 +69,38 @@ _PENDING = -1
 # comparison and counterexample temporaries, however wide it is.
 _ROUTE_CHUNK_CELLS = 1 << 18
 
+# Fewest (row, node) occurrences the routing pass holds back before counting
+# them into the per-node row counts.
+_COUNT_BATCH_ROWS = 1 << 16
+
+# Levels with at least this many nodes to expand are built in a few NumPy
+# passes over the whole level; narrower ones node by node, which costs less
+# when a level holds only a handful of nodes.
+_WIDE_FRONTIER = 8
+
+# Most cells one chunk of a wide level holds at once (see
+# ``_Builder._expand_level``), which bounds its temporaries to a few
+# megabytes however wide the level is.
+_CHUNK_CELLS = 1 << 16
+
 
 class NodeBudgetExceeded(RuntimeError):
-    """Raised when a build would allocate more nodes than its budget."""
+    """Raised when a build would allocate more nodes than its budget.
 
-    def __init__(self, budget: int, nodes: int):
+    ``nodes`` is the number allocated when the next node's children did not
+    fit, ``level`` the depth of the nodes being expanded (the root is level
+    0) and ``frontier`` how many nodes that level had to expand.
+    """
+
+    def __init__(self, budget: int, nodes: int, level: int = 0, frontier: int = 0):
         super().__init__(
-            f"node budget exceeded: needs more than {budget} nodes ({nodes} allocated)"
+            f"node budget exceeded: needs more than {budget} nodes ({nodes} allocated, "
+            f"at level {level} with a frontier of {frontier} nodes)"
         )
         self.budget = budget
         self.nodes = nodes
+        self.level = level
+        self.frontier = frontier
 
 
 class Routing(NamedTuple):
@@ -256,19 +289,33 @@ class DecisionTree:
         n_rows = len(codes)
         rows = np.arange(n_rows)
         nodes = np.zeros(n_rows, dtype=np.int64)
-        level_nodes: list[np.ndarray] = []
+        # Levels' node ids are counted in batches of at least
+        # _COUNT_BATCH_ROWS occurrences: a large tree never holds all of them
+        # at once, and a small one counts them in one bincount at the end.
+        node_rows = None
+        held: list[np.ndarray] = []
+        n_held = 0
         ends_rows: list[np.ndarray] = []
         ends_nodes: list[np.ndarray] = []
         ends_depth: list[int] = []
+        level = 0
         while True:
-            level_nodes.append(nodes)
+            held.append(nodes)
+            n_held += len(nodes)
+            if n_held >= _COUNT_BATCH_ROWS:
+                if node_rows is None:
+                    node_rows = np.zeros(len(kinds), dtype=np.int64)
+                batch = np.concatenate(held)
+                lo, hi = int(batch.min()), int(batch.max()) + 1
+                node_rows[lo:hi] += np.bincount(batch - lo, minlength=hi - lo)
+                held, n_held = [], 0
             kind = kinds.take(nodes)
             n_term, n_attr, n_hyp = np.bincount(kind, minlength=3).tolist()
             if n_term:
                 r, v = _of_kind(kind, TERMINAL, n_term, rows, nodes)
                 ends_rows.append(r)
                 ends_nodes.append(v)
-                ends_depth.append(len(level_nodes) - 1)
+                ends_depth.append(level)
             if not n_attr + n_hyp:
                 break
             next_rows: list[np.ndarray] = []
@@ -280,16 +327,21 @@ class DecisionTree:
             if n_hyp:
                 r, v = _of_kind(kind, WORKING_HYP, n_hyp, rows, nodes)
                 self._expand_hypotheses(r, v, next_rows, next_nodes)
+            rows = nodes = kind = r = v = None  # free this level before joining the next
             if len(next_rows) == 1:
                 rows, nodes = next_rows[0], next_nodes[0]
             else:
                 rows, nodes = np.concatenate(next_rows), np.concatenate(next_nodes)
+            level += 1
 
-        node_rows = np.bincount(
-            np.concatenate(level_nodes) if len(level_nodes) > 1 else nodes,
-            minlength=len(kinds),
-        )
-        del level_nodes  # free the occurrences before the terminal lists are joined
+        if held:
+            last = np.bincount(
+                np.concatenate(held) if len(held) > 1 else held[0], minlength=len(kinds)
+            )
+            if node_rows is None:
+                node_rows = last
+            else:
+                node_rows += last
         depths = np.array(ends_depth).repeat([len(v) for v in ends_nodes])
         if len(ends_nodes) == 1:
             return Routing(node_rows, ends_rows[0], ends_nodes[0], depths)
@@ -382,7 +434,8 @@ class _Builder:
         self.nrows = array("q")
         self.hypotheses: list[tuple[int, ...]] = []
         self.hyp_codes = array(_code_typecode(table))
-        self.queue: deque[tuple[int, np.ndarray]] = deque()
+        self.pending: list[tuple[int, np.ndarray]] = []
+        self._layout: _BranchLayout | None = None
 
     def run(self) -> DecisionTree:
         table = self.table
@@ -395,9 +448,25 @@ class _Builder:
                                   table.n_rows)
         else:
             self._append_pending(rows)
-        while self.queue:
-            node, pending_rows = self.queue.popleft()
-            self._expand(node, pending_rows)
+        narrow, level, width = self.pending, 0, 0
+        try:
+            while narrow:
+                width = len(narrow)
+                if width >= _WIDE_FRONTIER:
+                    wide = _join_frontier(narrow)
+                    while width >= _WIDE_FRONTIER:
+                        wide = self._expand_level(*wide)
+                        level += 1
+                        width = len(wide[0])
+                    narrow = _split_frontier(*wide)
+                    continue
+                self.pending = []
+                for node, node_rows in narrow:
+                    self._expand(node, node_rows)
+                narrow = self.pending
+                level += 1
+        except NodeBudgetExceeded as exc:  # name the level that ran out
+            raise NodeBudgetExceeded(self.budget, exc.nodes, level, width) from None
         return DecisionTree(
             table,
             self.tree_type,
@@ -425,10 +494,11 @@ class _Builder:
         self.first.append(-1)
         self.nchild.append(0)
         self.nrows.append(len(rows))
-        self.queue.append((node, rows))
+        self.pending.append((node, rows))
         return node
 
     def _expand(self, node: int, rows: np.ndarray) -> None:
+        """Expand one node of a narrow level; its pending children join ``pending``."""
         table = self.table
         stats = branch_stats(table, rows, self.measure)
         query, _ = select_query_from_stats(table, stats, self.tree_type)
@@ -491,6 +561,229 @@ class _Builder:
                     cols[i] = col
                 self._append_pending(rows[col == pos])
 
+    def _expand_level(self, nodes, rows, seg):
+        """Expand a wide level in chunks; return the next level as (nodes, rows, seg).
+
+        ``rows`` lists the subtable rows of every node, grouped by node in
+        node order and ascending within a node; ``seg[j]`` is the position
+        in ``nodes`` of the node ``rows[j]`` belongs to.  Each chunk holds
+        whole nodes and at most ``_CHUNK_CELLS`` cells, one per (subtable
+        row, attribute) and per (branch, decision) count, plus one per (base
+        row, attribute) when proper hypotheses are scored.
+        """
+        table = self.table
+        if self._layout is None:
+            self._layout = _BranchLayout(table)
+        sizes = np.bincount(seg, minlength=len(nodes))
+        per_node = table.total_branches * max(table.n_decision_values, 1)
+        if self.tree_type in (4, 5):
+            per_node += table.n * table.n_rows
+        cost = np.cumsum(sizes * table.n + per_node)
+        row_end = np.cumsum(sizes)
+        out_nodes, out_rows, out_seg = [], [], []
+        n_next = 0
+        lo = 0
+        while lo < len(nodes):
+            spent = int(cost[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(cost, spent + _CHUNK_CELLS, "right")))
+            r_lo = int(row_end[lo - 1]) if lo else 0
+            r_hi = int(row_end[hi - 1])
+            child_nodes, child_rows, child_seg = self._expand_chunk(
+                nodes[lo:hi], rows[r_lo:r_hi], seg[r_lo:r_hi] - lo
+            )
+            out_nodes.append(child_nodes)
+            out_rows.append(child_rows)
+            out_seg.append(child_seg + n_next)
+            n_next += len(child_nodes)
+            lo = hi
+        return np.concatenate(out_nodes), np.concatenate(out_rows), np.concatenate(out_seg)
+
+    def _expand_chunk(self, nodes, rows, seg):
+        """Expand whole nodes of a wide level; return their pending children likewise."""
+        table = self.table
+        lay = self._layout
+        f = len(nodes)
+        tb = table.total_branches
+        d = max(table.n_decision_values, 1)
+
+        # Branch statistics: one count per (node, branch, decision).
+        keys = (seg[:, None] * tb + table.offset_codes[rows]) * d
+        keys += table.dec_codes[rows][:, None]
+        cont = np.bincount(keys.ravel(), minlength=f * tb * d).reshape(f * tb, d)
+        u = self.measure.of_count_matrix(cont).reshape(f, tb)
+        n_branch = cont.sum(axis=1).reshape(f, tb)
+        pure = (cont.max(axis=1) == n_branch.ravel()).reshape(f, tb)
+        majority = table.decision_values[cont.argmax(axis=1)].reshape(f, tb)
+        del cont, keys
+
+        use_hyp, attr, hcodes = self._select(u, n_branch)
+
+        # Children on a (node x (1 + branches)) grid: column 0 is the
+        # hypothesis-holds child, column 1 + g the child of branch g.  Its
+        # flat nonzero order is the arena's child order.
+        exists = np.empty((f, 1 + tb), dtype=bool)
+        exists[:, 0] = use_hyp
+        exists[:, 1:] = np.where(
+            use_hyp[:, None],
+            lay.branch_code != hcodes[:, lay.branch_attr],
+            lay.branch_attr == attr[:, None],
+        )
+        n_children = np.count_nonzero(exists, axis=1)
+        start = len(self.kind)
+        ends = start + np.cumsum(n_children)
+        if int(ends[-1]) > self.budget:
+            k = int(np.argmax(ends > self.budget))
+            raise NodeBudgetExceeded(self.budget, int(ends[k] - n_children[k]))
+
+        # A node's row equal to its hypothesis is the holds child's one row.
+        codes = table.codes[rows]
+        differs = codes != hcodes[seg]
+        holds_row = np.full(f, -1, dtype=np.int64)
+        equal = use_hyp[seg] & ~differs.any(axis=1)
+        holds_row[seg[equal]] = rows[equal]
+        holds = holds_row >= 0
+
+        kind = np.zeros((f, 1 + tb), dtype=np.int8)
+        kind[:, 1:][~pure] = _PENDING  # an empty branch counts as pure
+        label = np.where(n_branch == 0, 0, np.where(pure, majority, -1))
+        label = np.concatenate(
+            [np.where(holds, table.decisions[holds_row], 0)[:, None], label], axis=1
+        )
+        nrows = np.concatenate([holds[:, None].astype(np.int64), n_branch], axis=1)
+
+        flat = exists.ravel()
+        child_kind = kind.ravel()[flat]
+        self._write_parents(nodes, use_hyp, attr, hcodes, ends - n_children, n_children)
+        self.kind.frombytes(child_kind.tobytes())
+        self.label.frombytes(label.ravel()[flat].astype(np.int64).tobytes())
+        self.nrows.frombytes(nrows.ravel()[flat].astype(np.int64).tobytes())
+        self.first.frombytes(np.full(len(child_kind), -1, np.int64).tobytes())
+        self.nchild.frombytes(np.zeros(len(child_kind), np.int32).tobytes())
+
+        # Rows go down as in ``DecisionTree.route_rows``: to the branch of
+        # the chosen attribute, or to every branch where they differ from
+        # the hypothesis.  Only pending children keep them.
+        pending = flat & (kind.ravel() == _PENDING)
+        child_ids = (start - 1 + np.cumsum(flat))[pending]
+        rank = np.cumsum(pending) - 1
+        go = np.where(use_hyp[seg, None], differs, lay.attr_index == attr[seg, None])
+        at_row, at_attr = np.nonzero(go)
+        cell = seg[at_row] * (1 + tb) + 1 + table.offset_codes[rows[at_row], at_attr]
+        keep = pending[cell]
+        next_seg = rank[cell[keep]]
+        order = np.argsort(next_seg, kind="stable")
+        return child_ids, rows[at_row[keep]][order], next_seg[order]
+
+    def _select(self, u, n_branch):
+        """Per node: whether a hypothesis is asked, the attribute, the hypothesis codes.
+
+        The same choices as ``select_query_from_stats``, over a padded
+        (node x attribute x value) view of the branch statistics.
+        """
+        lay = self._layout
+        f = len(u)
+        tree_type = self.tree_type
+        up = np.concatenate([u, np.full((f, 1), -1.0)], axis=1)[:, lay.pad]
+        seen = np.concatenate([n_branch, np.zeros((f, 1), np.int64)], axis=1)[:, lay.pad] > 0
+        max1 = up.max(axis=2)
+        n_seen = np.count_nonzero(seen, axis=2)
+        attr = np.zeros(f, dtype=np.int64)
+        if tree_type in (1, 3, 5):
+            attr_imp = np.where(n_seen >= 2, max1, np.inf)
+            attr = attr_imp.argmin(axis=1)
+            attr_imp = attr_imp[np.arange(f), attr]
+            if tree_type == 1:
+                return np.zeros(f, dtype=bool), attr, np.zeros((f, self.table.n), np.int64)
+        best_pos = up.argmax(axis=2)
+        # A single-valued attribute's second value is the pad, -1, where the
+        # per-node summary has 0.0; either stays below the largest second
+        # value, since an expanded node always has a two-valued attribute.
+        max2 = np.sort(up, axis=2)[:, :, -2]
+        pinned = n_seen == 1
+        const_pos = seen.argmax(axis=2)
+        if tree_type in (2, 3):
+            hyp_imp = max2.max(axis=1)
+            hcodes = np.where(
+                max1 > hyp_imp[:, None], best_pos, np.where(pinned, const_pos, 0)
+            )
+        else:
+            hyp_imp, hcodes = self._best_proper(max1, max2, best_pos, pinned, const_pos)
+        if tree_type in (2, 4):
+            return np.ones(f, dtype=bool), attr, hcodes
+        return attr_imp > hyp_imp, attr, hcodes  # equal impurity goes to the attribute
+
+    def _best_proper(self, max1, max2, best_pos, pinned, const_pos):
+        """Each node's first base row of least impurity, as in ``_best_proper_from``."""
+        codes = self.table.codes
+        imp = np.where(
+            codes == best_pos[:, None, :], max2[:, None, :], max1[:, None, :]
+        ).max(axis=2)
+        off_pin = pinned[:, None, :] & (codes != const_pos[:, None, :])
+        imp[off_pin.any(axis=2)] = np.inf
+        row = imp.argmin(axis=1)
+        value = imp[np.arange(len(imp)), row]
+        if not np.isfinite(value).all():
+            raise ConstraintError("no admissible proper hypothesis")
+        return value, codes[row]
+
+    def _write_parents(self, nodes, use_hyp, attr, hcodes, first, n_children) -> None:
+        table = self.table
+        hyp_at = np.flatnonzero(use_hyp)
+        label = attr.copy()
+        label[hyp_at] = len(self.hypotheses) + np.arange(len(hyp_at))
+        if len(hyp_at):
+            chosen = hcodes[hyp_at]
+            self.hypotheses.extend(
+                map(tuple, self._layout.values[np.arange(table.n), chosen].tolist())
+            )
+            self.hyp_codes.frombytes(chosen.astype(self.hyp_codes.typecode).tobytes())
+        for arena, values in (
+            (self.kind, np.where(use_hyp, WORKING_HYP, WORKING_ATTR)),
+            (self.label, label),
+            (self.first, first),
+            (self.nchild, n_children),
+        ):
+            view = np.frombuffer(arena, dtype=arena.typecode)
+            view[nodes] = values
+            del view  # an array cannot grow while a view of it is alive
+
+
+class _BranchLayout:
+    """Where each (attribute, value) branch sits, for the level-batched path.
+
+    ``pad`` gathers the branches into a (attribute x value) grid padded with
+    index ``total_branches`` (a sentinel column callers append) and
+    ``values`` holds the value of each (attribute, code).
+    """
+
+    def __init__(self, table: DecisionTable):
+        sizes = np.diff(table.offsets)
+        width = int(sizes.max())
+        code = np.arange(width)
+        self.attr_index = np.arange(table.n)
+        self.branch_attr = np.repeat(self.attr_index, sizes)
+        self.branch_code = np.arange(table.total_branches) - table.offsets[self.branch_attr]
+        self.pad = np.where(
+            code < sizes[:, None], table.offsets[:-1, None] + code, table.total_branches
+        )
+        self.values = np.array(
+            [list(vs) + [0] * (width - len(vs)) for vs in table.value_sets], dtype=np.int64
+        )
+
+
+def _join_frontier(narrow):
+    """Per-node (node, rows) pairs as one (nodes, rows, seg) level."""
+    nodes = np.array([node for node, _ in narrow], dtype=np.int64)
+    sizes = [len(rows) for _, rows in narrow]
+    rows = np.concatenate([rows for _, rows in narrow])
+    return nodes, rows, np.repeat(np.arange(len(narrow)), sizes)
+
+
+def _split_frontier(nodes, rows, seg):
+    """A (nodes, rows, seg) level as per-node (node, rows) pairs."""
+    ends = np.cumsum(np.bincount(seg, minlength=len(nodes)))[:-1]
+    return list(zip(nodes.tolist(), np.split(rows, ends)))
+
 
 def build_tree(
     table: DecisionTable,
@@ -501,8 +794,12 @@ def build_tree(
 ) -> DecisionTree:
     """Build the greedy tree of the given type under the given measure.
 
-    Raises ConstraintError for an empty table or invalid type, and
-    NodeBudgetExceeded when the arena would outgrow ``node_budget`` nodes.
+    The tree grows one breadth-first level at a time: wide levels in chunked
+    NumPy passes over all their nodes, narrow ones node by node (see the
+    module docstring); the result does not depend on which.  Raises
+    ConstraintError for an empty table or invalid type, and
+    NodeBudgetExceeded, naming the level and its width, when the arena would
+    outgrow ``node_budget`` nodes.
     """
     if isinstance(measure, str):
         measure = get_measure(measure)

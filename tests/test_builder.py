@@ -1,5 +1,8 @@
 """Greedy tree construction: goldens, ordering, budget, determinism."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,11 @@ from hypotree import (
     build_tree,
     get_measure,
 )
+import hypotree.builder as builder
 from hypotree.builder import TERMINAL, WORKING_ATTR, WORKING_HYP
+
+from frozen import ttt_centre
+from test_queries import random_table
 
 T0_K1 = """\
 0 W f1 [f1=0]:1 [f1=1]:2
@@ -188,3 +195,76 @@ class TestInputs:
     def test_repr(self, t0):
         text = repr(build_tree(t0, 2, "me"))
         assert "type=2" in text and "measure=me" in text and "13 nodes" in text
+
+
+class TestBudgetReport:
+    def test_level_and_frontier_named(self, t0):
+        with pytest.raises(NodeBudgetExceeded) as info:
+            build_tree(t0, 2, "me", node_budget=12)
+        # The root's level fits; level 1 holds the two working children 3, 4.
+        assert (info.value.level, info.value.frontier) == (1, 2)
+        assert "at level 1 with a frontier of 2 nodes" in str(info.value)
+
+    def test_budget_zero_names_level_zero(self, t0):
+        with pytest.raises(NodeBudgetExceeded) as info:
+            build_tree(t0, 1, "me", node_budget=0)
+        assert (info.value.level, info.value.frontier) == (0, 0)
+
+
+def _with_constant_column(table):
+    """The table with one more attribute that takes a single value."""
+    names = table.attribute_names + ("k",)
+    values = np.hstack([table.values, np.full((table.n_rows, 1), 5)])
+    return DecisionTable(names, values, table.decisions)
+
+
+def expansion_tables():
+    rng = random.Random(4242)
+    tables = [random_table(rng) for _ in range(24)]
+    for n_attrs in (3, 4, 5):  # wider and deeper trees than random_table's
+        grid = list(itertools.product(range(4), repeat=n_attrs))
+        rows = rng.sample(grid, 40)
+        decisions = [rng.randint(0, 3) for _ in rows]
+        names = tuple(f"f{i + 1}" for i in range(n_attrs))
+        tables.append(DecisionTable(names, np.array(rows), np.array(decisions)))
+    return tables + [_with_constant_column(t) for t in tables[::4]]
+
+
+def _build(table, tree_type, measure, wide_from, monkeypatch, budget=None):
+    monkeypatch.setattr(builder, "_WIDE_FRONTIER", wide_from)
+    monkeypatch.setattr(builder, "_CHUNK_CELLS", 40)
+    if budget is None:
+        return build_tree(table, tree_type, measure)
+    with pytest.raises(NodeBudgetExceeded) as info:
+        build_tree(table, tree_type, measure, node_budget=budget)
+    return info.value.nodes, info.value.level, info.value.frontier
+
+
+PER_NODE, BATCHED = 1 << 30, 1  # widths from which a level is batched: never, always
+
+
+class TestExpansionPaths:
+    """Level-batched expansion against the per-node reference, in small chunks."""
+
+    @pytest.mark.parametrize("measure", ["me", "rme", "ent", "gini", "r"])
+    @pytest.mark.parametrize("tree_type", [1, 2, 3, 4, 5])
+    def test_same_trees_and_budget_aborts(self, tree_type, measure, monkeypatch):
+        for table in expansion_tables():
+            ref = _build(table, tree_type, measure, PER_NODE, monkeypatch)
+            got = _build(table, tree_type, measure, BATCHED, monkeypatch)
+            assert got.serialize() == ref.serialize()
+            assert np.array_equal(got.path_row_counts, ref.path_row_counts)
+            assert got.hypotheses == ref.hypotheses
+            assert got._hyp_codes == ref._hyp_codes
+            for budget in range(1, ref.node_count, max(1, ref.node_count // 7)):
+                assert _build(table, tree_type, measure, BATCHED, monkeypatch, budget) \
+                    == _build(table, tree_type, measure, PER_NODE, monkeypatch, budget)
+
+    @pytest.mark.parametrize("tree_type", [2, 5])
+    def test_wide_levels_of_a_real_table(self, tree_type, monkeypatch):
+        table = ttt_centre(1)
+        ref = _build(table, tree_type, "ent", PER_NODE, monkeypatch)
+        monkeypatch.undo()  # the default width and cap: levels switch paths
+        got = build_tree(table, tree_type, "ent")
+        assert got.serialize() == ref.serialize()
+        assert got._hyp_codes == ref._hyp_codes
