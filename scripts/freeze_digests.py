@@ -3,13 +3,16 @@
 
 Builds every tree the corpus covers with the package under ``src/`` and
 records it as ``tests/frozen.py`` defines: balance-scale and the three
-tic-tac-toe sub-tables by the centre square, each x 5 measures x 5 types,
-plus one digest per (n, measure, type) over the Boolean suites n=3..6.
-Run it only to record a deliberate change of the trees:
+tic-tac-toe sub-tables by the centre square, each x 5 measures x 5 types;
+the whole tic-tac-toe table at t4/me, t5/me and t5/ent; functions 0-1 of the
+Boolean suites n=7 and n=8 x me/ent x t4/t5; and one digest per (n, measure,
+type) over the Boolean suites n=3..6.  Run it only to record a deliberate
+change of the trees:
 
     python3 scripts/freeze_digests.py
 
-It takes about two minutes; the Boolean suites are most of it.
+It takes about two minutes; the whole tic-tac-toe t4 tree and the Boolean
+suites are most of it.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ from hypotree import BoolSuiteSpec, table_of  # noqa: E402
 
 def main() -> None:
     trees = {}
-    for name, table in frozen.corpus_tables().items():
-        for m in frozen.MEASURES:
-            for k in frozen.TYPES:
-                trees[frozen.key(name, m, k)] = frozen.tree_record(table, k, m)
+    tables = frozen.corpus_tables()
+    for name, m, k in frozen.cases():
+        trees[frozen.key(name, m, k)] = frozen.tree_record(tables[name], k, m)
     suites = {}
     for n in frozen.BOOL_NS:
         tables = [table_of(fn) for fn in BoolSuiteSpec(n).functions]

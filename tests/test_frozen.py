@@ -12,18 +12,14 @@ RECORDS = frozen.load()["trees"]
 TABLES = frozen.corpus_tables()
 
 
-def cases():
-    for name in TABLES:
-        for m in frozen.MEASURES:
-            for k in frozen.TYPES:
-                yield pytest.param(name, m, k, id=frozen.key(name, m, k))
-
-
-@pytest.mark.parametrize("name, measure, tree_type", cases())
+@pytest.mark.parametrize(
+    "name, measure, tree_type",
+    [pytest.param(*case, id=frozen.key(*case)) for case in frozen.cases()],
+)
 def test_tree_matches_frozen_record(name, measure, tree_type):
     expect = RECORDS[frozen.key(name, measure, tree_type)]
     assert frozen.tree_record(TABLES[name], tree_type, measure) == expect
 
 
 def test_corpus_covers_every_case():
-    assert len(RECORDS) == len(TABLES) * len(frozen.MEASURES) * len(frozen.TYPES)
+    assert sorted(RECORDS) == sorted(frozen.key(*case) for case in frozen.cases())
