@@ -11,8 +11,7 @@ change of the trees:
 
     python3 scripts/freeze_digests.py
 
-It takes about two minutes; the whole tic-tac-toe t4 tree and the Boolean
-suites are most of it.
+It takes about a minute on a 2-core host; the Boolean suites are most of it.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ Nodes live in a flat arena of parallel arrays, so trees in the tens of
 millions of nodes fit in a few hundred megabytes and no recursion happens
 anywhere.  Construction is breadth-first, one level at a time; children of
 a node occupy consecutive ids, and a child's id always exceeds its parent's,
-which lets the metrics run as single forward passes.
+which lets the metrics run as single forward passes.  The arena is in level
+order: every node of a level precedes every node of the next, so the last
+node lies on the deepest level, and working nodes' first children ascend
+with their ids.
 
 A node is either Terminal (a decision) or Working (a query).  Children are
 created for every possible answer of the chosen query against the base
@@ -17,9 +20,15 @@ A level with at least ``_WIDE_FRONTIER`` nodes to expand is built in a few
 NumPy passes over all of them: one ``bincount`` gives every node's (branch,
 decision) counts, the query choice reads a padded (node x attribute x value)
 view of the branch uncertainties, and the children are laid out on a
-(node x answer) grid whose nonzero order is the arena's child order.  The
-level is split into chunks of whole nodes holding at most ``_CHUNK_CELLS``
-cells, so its temporaries stay small however wide it is.  Narrower levels,
+(node x answer) grid whose nonzero order is the arena's child order.  Proper
+hypotheses (types 4 and 5) are found by a threshold search over packed row
+bitsets, 64 base rows to a word: one cumulative AND over the attributes,
+sorted by their largest branch uncertainty, gives the rows under each
+candidate impurity, and the lowest set bit of the least nonempty one is the
+earliest row of least impurity (``_Builder._best_proper``).  The level is
+split into chunks of whole nodes holding at most ``_CHUNK_CELLS`` cells (a
+proper search holds one per attribute and word of rows, not per base row),
+so its temporaries stay small however wide it is.  Narrower levels,
 which is every level of a small table, are expanded node by node
 (``_Builder._expand``), which costs less there; both ways build the same
 tree.  The node budget is checked before any child of a node is allocated:
@@ -568,16 +577,16 @@ class _Builder:
         node order and ascending within a node; ``seg[j]`` is the position
         in ``nodes`` of the node ``rows[j]`` belongs to.  Each chunk holds
         whole nodes and at most ``_CHUNK_CELLS`` cells, one per (subtable
-        row, attribute) and per (branch, decision) count, plus one per (base
-        row, attribute) when proper hypotheses are scored.
+        row, attribute) and per (branch, decision) count, plus one per
+        (attribute, 64-row word) when proper hypotheses are searched.
         """
         table = self.table
         if self._layout is None:
-            self._layout = _BranchLayout(table)
+            self._layout = _BranchLayout(table, self.tree_type in (4, 5))
         sizes = np.bincount(seg, minlength=len(nodes))
         per_node = table.total_branches * max(table.n_decision_values, 1)
         if self.tree_type in (4, 5):
-            per_node += table.n * table.n_rows
+            per_node += table.n * self._layout.all_rows.size
         cost = np.cumsum(sizes * table.n + per_node)
         row_end = np.cumsum(sizes)
         out_nodes, out_rows, out_seg = [], [], []
@@ -713,18 +722,52 @@ class _Builder:
         return attr_imp > hyp_imp, attr, hcodes  # equal impurity goes to the attribute
 
     def _best_proper(self, max1, max2, best_pos, pinned, const_pos):
-        """Each node's first base row of least impurity, as in ``_best_proper_from``."""
-        codes = self.table.codes
-        imp = np.where(
-            codes == best_pos[:, None, :], max2[:, None, :], max1[:, None, :]
-        ).max(axis=2)
-        off_pin = pinned[:, None, :] & (codes != const_pos[:, None, :])
-        imp[off_pin.any(axis=2)] = np.inf
-        row = imp.argmin(axis=1)
-        value = imp[np.arange(len(imp)), row]
-        if not np.isfinite(value).all():
+        """Each node's first base row of least impurity, as in ``_best_proper_from``.
+
+        A row's impurity is ``max(M2, max1[i] over the attributes i whose
+        argmax value it misses)``, with ``M2`` the largest ``max2``, and it
+        is infinite off a constant attribute's pinned value.  So for any
+        ``v >= M2`` the rows of impurity at most ``v`` are those on the
+        argmax value of every attribute with ``max1 > v`` and on every pin:
+        with the attributes sorted by ``max1`` descending, one cumulative
+        AND of packed row bitsets gives that set for every prefix.  A prefix
+        of length ``k`` is a threshold when it ends the ``K`` attributes
+        above ``M2`` (``v = M2``) or ends a run of equal ``max1`` (``v`` the
+        next one's ``max1``); the longest threshold with a nonempty set has
+        the least ``v``, which is the least impurity, and its rows are the
+        rows of that impurity.  Row ``r`` is bit ``r % 64`` of word
+        ``r // 64``, so the lowest set bit is the earliest such row.
+        """
+        lay = self._layout
+        f, n = max1.shape
+        order = np.argsort(-max1, axis=1, kind="stable")
+        ranked = np.take_along_axis(max1, order, axis=1)
+        m2 = max2.max(axis=1)
+        # feasible[:, k] holds the rows of prefix k: the pins, then one more
+        # argmax value per step.
+        feasible = np.empty((f, n + 1, lay.all_rows.size), dtype=np.uint64)
+        pins = np.where(
+            pinned[:, :, None], lay.row_bits[lay.attr_index, const_pos], lay.all_rows
+        )
+        np.bitwise_and.reduce(pins, axis=1, out=feasible[:, 0])
+        feasible[:, 1:] = lay.row_bits[order, np.take_along_axis(best_pos, order, axis=1)]
+        np.bitwise_and.accumulate(feasible, axis=1, out=feasible)
+        above = np.count_nonzero(max1 > m2[:, None], axis=1)
+        valid = np.ones((f, n + 1), dtype=bool)
+        valid[:, 1:n] = ranked[:, :-1] > ranked[:, 1:]  # ties are never split
+        valid &= np.arange(n + 1) <= above[:, None]
+        valid[np.arange(f), above] = True
+        valid &= feasible.any(axis=2)
+        if not valid[:, 0].all():
             raise ConstraintError("no admissible proper hypothesis")
-        return value, codes[row]
+        best = n - valid[:, ::-1].argmax(axis=1)
+        value = np.where(best < above, ranked[np.arange(f), np.minimum(best, n - 1)], m2)
+        rows = feasible[np.arange(f), best]
+        word = (rows != 0).argmax(axis=1)
+        low = rows[np.arange(f), word]
+        # The lowest set bit alone, as a float, is 2**bit = 0.5 * 2**(bit + 1).
+        bit = np.frexp((low & (~low + np.uint64(1))).astype(np.float64))[1] - 1
+        return value, self.table.codes[64 * word + bit]
 
     def _write_parents(self, nodes, use_hyp, attr, hcodes, first, n_children) -> None:
         table = self.table
@@ -753,10 +796,13 @@ class _BranchLayout:
 
     ``pad`` gathers the branches into a (attribute x value) grid padded with
     index ``total_branches`` (a sentinel column callers append) and
-    ``values`` holds the value of each (attribute, code).
+    ``values`` holds the value of each (attribute, code).  With ``proper``
+    (types 4 and 5), ``row_bits[i, c]`` holds the rows whose attribute ``i``
+    has code ``c`` and ``all_rows`` every row, packed 64 rows to a
+    ``uint64`` word: row ``r`` is bit ``r % 64`` of word ``r // 64``.
     """
 
-    def __init__(self, table: DecisionTable):
+    def __init__(self, table: DecisionTable, proper: bool):
         sizes = np.diff(table.offsets)
         width = int(sizes.max())
         code = np.arange(width)
@@ -769,6 +815,17 @@ class _BranchLayout:
         self.values = np.array(
             [list(vs) + [0] * (width - len(vs)) for vs in table.value_sets], dtype=np.int64
         )
+        if proper:
+            self.row_bits = _pack_rows(table.codes.T[:, None, :] == code[:, None])
+            self.all_rows = _pack_rows(np.ones(table.n_rows, dtype=bool))
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows along the last axis as ``uint64`` words, row ``r`` at bit ``r % 64``."""
+    n_words = -(-bits.shape[-1] // 64)
+    packed = np.zeros(bits.shape[:-1] + (8 * n_words,), dtype=np.uint8)
+    packed[..., : -(-bits.shape[-1] // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
 
 
 def _join_frontier(narrow):

@@ -65,15 +65,20 @@ def _check_pair(table: DecisionTable, tree: DecisionTree) -> None:
 
 
 def depth(tree: DecisionTree) -> int:
-    """Maximum number of queries on any root-to-terminal path."""
-    kinds = tree.kinds
-    first = tree.first_children
-    counts = tree.child_counts
-    qdepth = np.zeros(tree.node_count, dtype=np.int64)
-    for node in np.flatnonzero(kinds != TERMINAL):
-        f = first[node]
-        qdepth[f : f + counts[node]] = qdepth[node] + 1
-    return int(qdepth[kinds == TERMINAL].max(initial=0))
+    """Maximum number of queries on any root-to-terminal path.
+
+    The arena is in breadth-first level order, so the last node sits on the
+    deepest level and the depth is the number of its ancestors.  Working
+    nodes' first children ascend with their ids, so each parent is found by
+    one binary search over them.
+    """
+    working = np.flatnonzero(tree.kinds != TERMINAL)
+    first = tree.first_children.take(working)
+    node, levels = tree.node_count - 1, 0
+    while node:
+        node = int(working[np.searchsorted(first, node, "right") - 1])
+        levels += 1
+    return levels
 
 
 def realizable_count(table: DecisionTable, tree: DecisionTree) -> int:

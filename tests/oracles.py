@@ -203,6 +203,20 @@ def oracle_rule_stats(table: DecisionTable, tree):
     return lengths, coverages
 
 
+def oracle_depth(tree) -> int:
+    """Most working nodes on a root-to-terminal path, by walking ``child_edges``."""
+    deepest = 0
+    stack = [(0, 0)]
+    while stack:
+        node, queries = stack.pop()
+        if tree.is_terminal(node):
+            deepest = max(deepest, queries)
+            continue
+        for child, _, _ in tree.child_edges(node):
+            stack.append((child, queries + 1))
+    return deepest
+
+
 def oracle_realizable(table: DecisionTable, tree) -> int:
     union: set[int] = set()
     for r in range(table.n_rows):

@@ -1,5 +1,6 @@
 """Greedy tree construction: goldens, ordering, budget, determinism."""
 
+import functools
 import itertools
 import random
 
@@ -18,6 +19,7 @@ from hypotree import (
 import hypotree.builder as builder
 from hypotree.builder import TERMINAL, WORKING_ATTR, WORKING_HYP
 
+import oracles
 from frozen import ttt_centre
 from test_queries import random_table
 
@@ -218,6 +220,38 @@ def _with_constant_column(table):
     return DecisionTable(names, values, table.decisions)
 
 
+def _with_copied_column(table):
+    """The table with its first attribute repeated, so the two tie in every statistic."""
+    names = table.attribute_names + ("copy",)
+    return DecisionTable(names, np.hstack([table.values, table.values[:, :1]]), table.decisions)
+
+
+def _word_edge_table(n_rows, measure, winner_at):
+    """A table whose root's first proper winner under ``measure`` is row ``winner_at``.
+
+    Rows are packed 64 to a word, so ``winner_at`` picks a side of a word
+    edge.  Random tables are drawn until the root has few enough rows of
+    least impurity; those rows go from ``winner_at`` on, the others around
+    them in drawn order.
+    """
+    grid = list(itertools.product(range(3), range(3), range(4), range(4)))
+    names = ("f1", "f2", "f3", "f4")
+    rng = random.Random(n_rows * 1000 + winner_at)
+    while True:
+        rows = rng.sample(grid, n_rows)
+        decisions = [rng.randint(0, 2) for _ in rows]
+        table = DecisionTable(names, np.array(rows), np.array(decisions))
+        every = range(n_rows)
+        imp = [oracles.hypothesis_impurity(table, every, rows[r], measure) for r in every]
+        best = [r for r in every if imp[r] == min(imp)]
+        if winner_at + len(best) <= n_rows:
+            break
+    rest = [r for r in every if imp[r] != min(imp)]
+    order = rest[:winner_at] + best + rest[winner_at:]
+    return DecisionTable(names, table.values[order], table.decisions[order])
+
+
+@functools.cache
 def expansion_tables():
     rng = random.Random(4242)
     tables = [random_table(rng) for _ in range(24)]
@@ -227,14 +261,24 @@ def expansion_tables():
         decisions = [rng.randint(0, 3) for _ in rows]
         names = tuple(f"f{i + 1}" for i in range(n_attrs))
         tables.append(DecisionTable(names, np.array(rows), np.array(decisions)))
-    return tables + [_with_constant_column(t) for t in tables[::4]]
+    tables += [_with_constant_column(t) for t in tables[::4]]
+    tables.append(_with_copied_column(tables[24]))
+    # The proper winner at the root on either side of a 64-row word edge:
+    # last row of a part word, last and first bit of a word, alone in the
+    # last word, and a tie set that straddles an edge under me.
+    for n_rows, measure, winner_at in (
+        (63, "ent", 62), (64, "ent", 63), (65, "ent", 64), (129, "ent", 128), (129, "me", 60)
+    ):
+        tables.append(_word_edge_table(n_rows, measure, winner_at))
+    return tuple(tables)
 
 
-def _build(table, tree_type, measure, wide_from, monkeypatch, budget=None):
+def _build(table, tree_type, measure, wide_from, monkeypatch, budget=None,
+           limit=builder.DEFAULT_NODE_BUDGET):
     monkeypatch.setattr(builder, "_WIDE_FRONTIER", wide_from)
     monkeypatch.setattr(builder, "_CHUNK_CELLS", 40)
     if budget is None:
-        return build_tree(table, tree_type, measure)
+        return build_tree(table, tree_type, measure, node_budget=limit)
     with pytest.raises(NodeBudgetExceeded) as info:
         build_tree(table, tree_type, measure, node_budget=budget)
     return info.value.nodes, info.value.level, info.value.frontier
@@ -251,7 +295,9 @@ class TestExpansionPaths:
     def test_same_trees_and_budget_aborts(self, tree_type, measure, monkeypatch):
         for table in expansion_tables():
             ref = _build(table, tree_type, measure, PER_NODE, monkeypatch)
-            got = _build(table, tree_type, measure, BATCHED, monkeypatch)
+            # A wrong query can leave a subtable whole and grow the tree
+            # without end; the reference's size stops it at once.
+            got = _build(table, tree_type, measure, BATCHED, monkeypatch, limit=ref.node_count)
             assert got.serialize() == ref.serialize()
             assert np.array_equal(got.path_row_counts, ref.path_row_counts)
             assert got.hypotheses == ref.hypotheses

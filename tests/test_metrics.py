@@ -1,5 +1,7 @@
 """Depth, realizable-node counting, simulation, and validation."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,11 @@ from hypotree import (
     simulate,
     validate,
 )
+import hypotree.builder as builder
 from hypotree.metrics import ComputationState
 
 import oracles
+from test_queries import random_table
 
 
 class TestDepth:
@@ -29,7 +33,20 @@ class TestDepth:
 
     def test_degenerate_depth_zero(self):
         one = DecisionTable(("a",), np.array([(0,)]), np.array([5]))
-        assert depth(build_tree(one, 1, "me")) == 0
+        tree = build_tree(one, 1, "me")
+        assert tree.node_count == 1
+        assert depth(tree) == oracles.oracle_depth(tree) == 0
+
+    @pytest.mark.parametrize("wide_from", [1, 1 << 30])  # levels batched: always, never
+    @pytest.mark.parametrize("tree_type", [1, 2, 3, 4, 5])
+    def test_matches_oracle(self, tree_type, wide_from, monkeypatch):
+        monkeypatch.setattr(builder, "_WIDE_FRONTIER", wide_from)
+        rng = random.Random(777)
+        for _ in range(20):
+            table = random_table(rng)
+            for measure in ("me", "ent"):
+                tree = build_tree(table, tree_type, measure)
+                assert depth(tree) == oracles.oracle_depth(tree)
 
 
 class TestRealizable:
