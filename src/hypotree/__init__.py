@@ -17,7 +17,7 @@ from .table import (
     EquationSystem,
     SubtableRef,
 )
-from .uncertainty import MEASURES, UncertaintyMeasure, ent, get_measure, gini, me, r, rme
+from .uncertainty import MEASURES, UncertaintyMeasure, get_measure
 from .queries import (
     Answer,
     AttributeQuery,
@@ -128,22 +128,18 @@ __all__ = [
     "complete_paths",
     "depth",
     "derive_rules",
-    "ent",
     "expand_sources",
     "first_counterexample",
     "function_suite",
     "generated_table",
     "get_measure",
-    "gini",
     "impurity",
     "is_admissible_attribute",
     "is_admissible_hypothesis",
     "is_proper",
     "load_source",
     "load_table",
-    "me",
     "parse_suite_spec",
-    "r",
     "random_function",
     "realizable_count",
     "reduce_system",
@@ -151,7 +147,6 @@ __all__ = [
     "render_hypothesis",
     "render_report",
     "render_rule",
-    "rme",
     "rule_stats",
     "rules_to_csv",
     "run_matrix",

@@ -34,12 +34,20 @@ which is every level of a small table, are expanded node by node
 tree.  The node budget is checked before any child of a node is allocated:
 per node on a narrow level, once per chunk on a wide one, with the same
 count of allocated nodes in the error either way.
+
+``DecisionTree.serialize`` writes the text form from the arena columns and
+the stored hypotheses, never through the per-node accessors: a terminal's
+line straight from its id and label, a working node's line by filling a
+``%d`` template with its id and the consecutive range of its children's
+ids.  Within one call a template is made once per queried attribute and
+once per distinct hypothesis, whose ``H[...]`` text serves both its query
+and its holds edge; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +58,6 @@ from .queries import (
     HypothesisQuery,
     Query,
     branch_stats,
-    render_hypothesis,
     select_query_from_stats,
 )
 from .uncertainty import UncertaintyMeasure, get_measure
@@ -140,6 +147,24 @@ def _code_typecode(table: DecisionTable) -> str:
     """Narrowest signed array typecode holding every value code of the table."""
     width = max(len(vs) for vs in table.value_sets)
     return "b" if width <= 127 else "h" if width <= 32767 else "q"
+
+
+def _hypothesis_template(names, value_sets, hypothesis) -> str:
+    """``%d`` template of a hypothesis query's line: its id, then one per child.
+
+    ``names`` come with any ``%`` doubled.  The ``H[...]`` text is both the
+    query and the holds edge, which comes first; the counterexamples follow
+    in (attribute, value) order without the hypothesis's own value.
+    """
+    h = "H[" + ",".join(map("{}={}".format, names, hypothesis)) + "]"
+    return f"%d W {h} [{h}]:%d" + "".join(
+        [
+            f" [{name}={v}]:%d"
+            for name, values, own in zip(names, value_sets, hypothesis)
+            for v in values
+            if v != own
+        ]
+    )
 
 
 class DecisionTree:
@@ -396,31 +421,42 @@ class DecisionTree:
                 systems.append(EquationSystem([(attr, payload)]))
         return systems
 
-    def iter_serialized_lines(self) -> Iterator[str]:
-        names = self.base.attribute_names
-        for node in range(self.node_count):
-            kind = self._kind[node]
+    def serialize(self) -> str:
+        """Deterministic one-node-per-line text form, ending in a newline.
+
+        Rendered from the arena columns as the module docstring describes;
+        the templates of working nodes' lines live only for the call.
+        """
+        base = self.base
+        first, nchild = self._first, self._nchild
+        attribute_lines: dict[int, str] = {}
+        hypothesis_lines: dict[tuple[int, ...], str] = {}
+        names = None
+        lines = []
+        for node, kind, at in zip(range(len(self._kind)), self._kind, self._label):
             if kind == TERMINAL:
-                yield f"{node} T {self._label[node]}"
+                lines.append(f"{node} T {at}")
                 continue
             if kind == WORKING_ATTR:
-                query = names[self._label[node]]
+                line = attribute_lines.get(at)
+                if line is None:
+                    name = base.attribute_names[at].replace("%", "%%")
+                    line = f"%d W {name}" + "".join(
+                        [f" [{name}={v}]:%d" for v in base.value_sets[at]]
+                    )
+                    attribute_lines[at] = line
             else:
-                query = render_hypothesis(
-                    Hypothesis(self.hypotheses[self._label[node]]), names
-                )
-            parts = [f"{node} W {query}"]
-            for child, attr, payload in self.child_edges(node):
-                if attr is None:
-                    edge = render_hypothesis(Hypothesis(payload), names)
-                else:
-                    edge = f"{names[attr]}={payload}"
-                parts.append(f"[{edge}]:{child}")
-            yield " ".join(parts)
-
-    def serialize(self) -> str:
-        """Deterministic one-node-per-line text form, ending in a newline."""
-        return "\n".join(self.iter_serialized_lines()) + "\n"
+                hypothesis = self.hypotheses[at]
+                line = hypothesis_lines.get(hypothesis)
+                if line is None:
+                    if names is None:
+                        names = [name.replace("%", "%%") for name in base.attribute_names]
+                    line = _hypothesis_template(names, base.value_sets, hypothesis)
+                    hypothesis_lines[hypothesis] = line
+            child = first[node]
+            lines.append(line % (node, *range(child, child + nchild[node])))
+        lines.append("")
+        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return (

@@ -138,7 +138,9 @@ def simulate(
             raise StrategyError(
                 f"answer {attr}={value} is not a truthful counterexample"
             )
-        node = next(c for c, i, v in edges[1:] if i == attr and v == value)
+        node = next((c for c, i, v in edges[1:] if i == attr and v == value), None)
+        if node is None:
+            raise ConstraintError(f"value {value} of attribute {attr} is outside the table")
         system = system.union(answer.system)
     return tree.decision(node)
 

@@ -18,13 +18,6 @@ __all__ = [
     "DecisionTable",
     "EquationSystem",
     "SubtableRef",
-    "apply_system",
-    "count_decision",
-    "count_rows",
-    "is_constant",
-    "is_degenerate",
-    "most_common_decision",
-    "value_set",
 ]
 
 
@@ -207,7 +200,7 @@ class DecisionTable:
         return tuple(int(v) for v in self.values[row])
 
     def all_rows(self) -> "SubtableRef":
-        return SubtableRef(self, np.arange(self.n_rows, dtype=np.int64))
+        return SubtableRef._derived(self, np.arange(self.n_rows, dtype=np.int64))
 
     def subtable(self, system: EquationSystem) -> "SubtableRef":
         return self.all_rows().apply(system)
@@ -223,7 +216,12 @@ class DecisionTable:
 
 
 class SubtableRef:
-    """A view of selected rows of a base table; indices are strictly ascending."""
+    """A view of selected rows of a base table; indices are strictly ascending.
+
+    The constructor checks a caller's selection.  Views the package derives
+    itself (``DecisionTable.all_rows``, ``apply``) are ascending and in range
+    by construction and skip the checks through ``_derived``.
+    """
 
     __slots__ = ("base", "selected", "_counts")
 
@@ -239,6 +237,15 @@ class SubtableRef:
         self.base = base
         self.selected = sel
         self._counts: np.ndarray | None = None
+
+    @classmethod
+    def _derived(cls, base: DecisionTable, selected: np.ndarray) -> "SubtableRef":
+        """A view of an ascending, in-range int64 selection, taken unchecked."""
+        view = cls.__new__(cls)
+        view.base = base
+        view.selected = selected
+        view._counts = None
+        return view
 
     @property
     def n_rows(self) -> int:
@@ -297,7 +304,7 @@ class SubtableRef:
             if sel.size == 0:
                 break
             sel = sel[self.base.values[sel, attribute] == value]
-        return SubtableRef(self.base, sel)
+        return SubtableRef._derived(self.base, sel)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -309,30 +316,3 @@ class SubtableRef:
     def __repr__(self) -> str:
         return f"SubtableRef({self.n_rows} of {self.base.n_rows} rows)"
 
-
-def apply_system(t: SubtableRef, s: EquationSystem) -> SubtableRef:
-    return t.apply(s)
-
-
-def value_set(table: DecisionTable, attribute: int) -> tuple[int, ...]:
-    return table.value_set(attribute)
-
-
-def count_rows(t: SubtableRef) -> int:
-    return t.n_rows
-
-
-def count_decision(t: SubtableRef, decision: int) -> int:
-    return t.count_decision(decision)
-
-
-def most_common_decision(t: SubtableRef) -> int:
-    return t.most_common_decision()
-
-
-def is_degenerate(t: SubtableRef) -> bool:
-    return t.is_degenerate()
-
-
-def is_constant(t: SubtableRef, attribute: int) -> bool:
-    return t.is_constant(attribute)

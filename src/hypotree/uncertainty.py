@@ -23,12 +23,7 @@ from .table import SubtableRef
 __all__ = [
     "MEASURES",
     "UncertaintyMeasure",
-    "ent",
     "get_measure",
-    "gini",
-    "me",
-    "r",
-    "rme",
 ]
 
 
@@ -115,22 +110,3 @@ def get_measure(name: str) -> UncertaintyMeasure:
             f"unknown uncertainty measure {name!r}; expected one of {sorted(MEASURES)}"
         ) from None
 
-
-def me(t: SubtableRef) -> float:
-    return MEASURES["me"].evaluate(t)
-
-
-def rme(t: SubtableRef) -> float:
-    return MEASURES["rme"].evaluate(t)
-
-
-def ent(t: SubtableRef) -> float:
-    return MEASURES["ent"].evaluate(t)
-
-
-def gini(t: SubtableRef) -> float:
-    return MEASURES["gini"].evaluate(t)
-
-
-def r(t: SubtableRef) -> float:
-    return MEASURES["r"].evaluate(t)

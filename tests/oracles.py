@@ -224,6 +224,28 @@ def oracle_realizable(table: DecisionTable, tree) -> int:
     return len(union)
 
 
+def oracle_serialize(tree) -> str:
+    """The tree's text form, formatted node by node from ``child_edges``."""
+    names = tree.base.attribute_names
+
+    def hypothesis(values):
+        return "H[" + ",".join(f"{names[i]}={v}" for i, v in enumerate(values)) + "]"
+
+    out = []
+    for node in range(tree.node_count):
+        if tree.is_terminal(node):
+            out.append(f"{node} T {tree.decision(node)}\n")
+            continue
+        edges = tree.child_edges(node)
+        _, attr, payload = edges[0]
+        words = [f"{node} W {names[attr] if attr is not None else hypothesis(payload)}"]
+        for child, attr, payload in edges:
+            label = hypothesis(payload) if attr is None else f"{names[attr]}={payload}"
+            words.append(f"[{label}]:{child}")
+        out.append(" ".join(words) + "\n")
+    return "".join(out)
+
+
 # --- exhaustive small-table corpus -------------------------------------------
 
 

@@ -314,3 +314,45 @@ class TestExpansionPaths:
         got = build_tree(table, tree_type, "ent")
         assert got.serialize() == ref.serialize()
         assert got._hyp_codes == ref._hyp_codes
+
+
+@functools.cache
+def serialize_tables():
+    """Random tables over awkward alphabets, plus a one-row and a larger one.
+
+    Value sets skip codes ({0, 7, 12}), run to several digits or hold a
+    single value; decisions reach 10 and beyond; names carry the ``%``,
+    ``{`` and ``=`` characters a formatter might trip on.
+    """
+    rng = random.Random(606)
+    alphabets = ((0, 7, 12), (3,), (10, 250, 4096), (0, 1), (5, 6, 7, 99))
+    names = ("f1", "a%d", "{b}", "c=d", "e%")
+    decisions = (0, 10, 11, 256)
+    tables = []
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        sets = [rng.choice(alphabets) for _ in range(n)]
+        grid = list(itertools.product(*sets))
+        rows = rng.sample(grid, rng.randint(1, min(12, len(grid))))
+        tables.append(
+            DecisionTable(names[:n], np.array(rows), [rng.choice(decisions) for _ in rows])
+        )
+    grid = list(itertools.product(*alphabets[:1] + alphabets[2:] + alphabets[:1]))
+    rows = rng.sample(grid, 120)
+    tables.append(DecisionTable(names, np.array(rows), [rng.choice(decisions) for _ in rows]))
+    tables.append(DecisionTable(("only",), np.array([(12,)]), [13]))
+    return tuple(tables)
+
+
+class TestSerialize:
+    """``serialize`` against a node-by-node formatting of ``child_edges``."""
+
+    @pytest.mark.parametrize("measure", ["me", "ent"])
+    @pytest.mark.parametrize("tree_type", [1, 2, 3, 4, 5])
+    def test_matches_per_node_oracle(self, tree_type, measure):
+        sizes = []
+        for table in serialize_tables():
+            tree = build_tree(table, tree_type, measure)
+            assert tree.serialize() == oracles.oracle_serialize(tree)
+            sizes.append(tree.node_count)
+        assert min(sizes) == 1 and max(sizes) >= 100  # one terminal; multi-digit ids

@@ -134,6 +134,14 @@ class TestSimulate:
         with pytest.raises(ConstraintError):
             simulate(t0, tree, (0, 0))  # wrong arity
 
+    @pytest.mark.parametrize("tree_type", [1, 2])  # attribute nodes, hypothesis nodes
+    @pytest.mark.parametrize("row", [(0, 5), (5, 0), (7, 7)])
+    def test_value_outside_the_table(self, xor, tree_type, row):
+        tree = build_tree(xor, tree_type, "me")
+        assert tree.kinds[0] == (builder.WORKING_ATTR, builder.WORKING_HYP)[tree_type - 1]
+        with pytest.raises(ConstraintError, match="outside the table"):
+            simulate(xor, tree, row)
+
     def test_strategy_errors(self, t0):
         tree = build_tree(t0, 2, "me")
 

@@ -4,15 +4,6 @@ import numpy as np
 import pytest
 
 from hypotree import ConstraintError, DecisionTable, EquationSystem
-from hypotree.table import (
-    apply_system,
-    count_decision,
-    count_rows,
-    is_constant,
-    is_degenerate,
-    most_common_decision,
-    value_set,
-)
 
 
 class TestEquationSystem:
@@ -102,7 +93,7 @@ class TestSubtables:
         sub = t0.all_rows().apply(EquationSystem([(0, 0)]))
         sub = sub.apply(EquationSystem([(2, 1)]))
         assert list(sub.selected) == [1]
-        assert apply_system(t0.all_rows(), EquationSystem([(0, 0)])).n_rows == 2
+        assert t0.all_rows().apply(EquationSystem([(0, 0)])).n_rows == 2
 
     def test_decision_statistics(self, t0):
         full = t0.all_rows()
@@ -110,11 +101,11 @@ class TestSubtables:
         assert list(full.decision_counts()) == [2, 2]
         assert list(t0.decision_values) == [1, 2]
         assert full.count_decision(1) == 2
-        assert count_decision(full, 2) == 2
-        assert count_rows(full) == 4
+        assert full.count_decision(2) == 2
+        assert full.count_decision(3) == 0  # not a decision of the table
+        assert full.n_rows == 4
         # tie between decisions 1 and 2 -> smallest wins
         assert full.most_common_decision() == 1
-        assert most_common_decision(full) == 1
 
     def test_most_common_of_empty_is_zero(self, t0):
         empty = t0.subtable(EquationSystem([(0, 0), (2, 0), (1, 1)]))
@@ -125,15 +116,13 @@ class TestSubtables:
     def test_degenerate_and_constant(self, t0):
         branch = t0.subtable(EquationSystem([(0, 1)]))  # decisions 2,2
         assert branch.is_degenerate()
-        assert is_degenerate(branch)
         assert not t0.all_rows().is_degenerate()
         assert branch.is_constant(0)
-        assert is_constant(branch, 0)
         assert not branch.is_constant(1)
         assert list(branch.column_values(2)) == [1, 0]
 
     def test_value_set_helper(self, t0):
-        assert value_set(t0, 1) == (0, 1)
+        assert t0.value_set(1) == (0, 1)
         with pytest.raises(ConstraintError):
             t0.value_set(3)
 
@@ -144,6 +133,13 @@ class TestSubtables:
             SubtableRef(t0, np.array([1, 0]))  # not increasing
         with pytest.raises(ConstraintError):
             SubtableRef(t0, np.array([0, 9]))  # out of range
+        with pytest.raises(ConstraintError):
+            SubtableRef(t0, np.array([-1, 0]))  # negative
+        with pytest.raises(ConstraintError):
+            SubtableRef(t0, np.array([2, 2]))  # repeated
+        with pytest.raises(ConstraintError):
+            SubtableRef(t0, np.array([[0, 1]]))  # not one-dimensional
+        assert SubtableRef(t0, [0, 3]) == t0.all_rows().apply(EquationSystem([(2, 0)]))
 
     def test_subtable_equality(self, t0):
         a = t0.subtable(EquationSystem([(0, 0)]))

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from hypotree import DecisionTable, EquationSystem, MEASURES, get_measure
-from hypotree.uncertainty import ent, gini, me, r, rme
 
 from oracles import measure_value
+
+
+me, rme, ent, gini, r = (get_measure(name) for name in ("me", "rme", "ent", "gini", "r"))
 
 
 def table_of_labels(labels):
