@@ -33,6 +33,9 @@ def main() -> None:
     tables = frozen.corpus_tables()
     for name, m, k in frozen.cases():
         trees[frozen.key(name, m, k)] = frozen.tree_record(tables[name], k, m)
+    rules = {}
+    for name, m, k in frozen.rule_cases():
+        rules[frozen.key(name, m, k)] = frozen.rules_record(tables[name], k, m)
     suites = {}
     for n in frozen.BOOL_NS:
         tables = [table_of(fn) for fn in BoolSuiteSpec(n).functions]
@@ -42,10 +45,13 @@ def main() -> None:
                 suites[frozen.key(f"bool n={n}", m, k)] = frozen.bool_suite_digest(records)
     frozen.DATA.parent.mkdir(parents=True, exist_ok=True)
     frozen.DATA.write_text(
-        json.dumps({"trees": trees, "bool_suites": suites}, indent=1, sort_keys=True) + "\n",
+        json.dumps({"trees": trees, "bool_suites": suites, "rules": rules}, indent=1, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    print(f"wrote {len(trees)} tree records and {len(suites)} suite digests to {frozen.DATA}")
+    print(
+        f"wrote {len(trees)} tree records, {len(suites)} suite digests and "
+        f"{len(rules)} rules digests to {frozen.DATA}"
+    )
 
 
 if __name__ == "__main__":

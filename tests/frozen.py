@@ -19,6 +19,12 @@ its realizable-node count ``L`` and SHA-256 digests of the per-row rule
 length ``l`` and coverage ``c`` arrays.  The Boolean suites are recorded per
 (n, measure, type) as one digest over the 100 functions' records, the same
 records the criterion-4 sweep in ``test_acceptance.py`` computes.
+
+The materialized rules are recorded apart, as the SHA-256 of
+``rules_to_csv`` over ``derive_rules``: their order, premises, decisions,
+lengths and coverages.  They cover balance-scale x 5 measures x 5 types and
+the centre sub-tables x 5 measures at t1, t3 and t5 (the t2/t4 trees of the
+centre sub-tables would cost several times the rest).
 """
 
 from __future__ import annotations
@@ -32,9 +38,11 @@ from hypotree import (
     balance_scale,
     build_tree,
     depth,
+    derive_rules,
     random_function,
     realizable_count,
     rule_stats,
+    rules_to_csv,
     table_of,
     tic_tac_toe,
 )
@@ -49,10 +57,11 @@ CENTRE_VALUES = {"x": 0, "o": 1, "blank": 2}
 PROPER_SEED = 42
 PROPER_NS = (7, 8)
 PROPER_FUNCTIONS = (0, 1)
+RULE_CENTRE_TYPES = (1, 3, 5)
 
 
 def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def ttt_centre(value: int) -> DecisionTable:
@@ -90,6 +99,24 @@ def cases() -> list[tuple[str, str, int]]:
         for k in (4, 5)
     ]
     return out
+
+
+def rule_cases() -> list[tuple[str, str, int]]:
+    """Every (table name, measure, type) whose rules the corpus records."""
+    out = [("balance-scale", m, k) for m in MEASURES for k in TYPES]
+    out += [
+        (f"tic-tac-toe/centre={name}", m, k)
+        for name in CENTRE_VALUES
+        for m in MEASURES
+        for k in RULE_CENTRE_TYPES
+    ]
+    return out
+
+
+def rules_record(table: DecisionTable, tree_type: int, measure: str) -> str:
+    """SHA-256 of the CSV of every rule ``derive_rules`` reads off the tree."""
+    rules = derive_rules(table, build_tree(table, tree_type, measure)).rules
+    return _sha(rules_to_csv(rules, table.attribute_names))
 
 
 def tree_record(table: DecisionTable, tree_type: int, measure: str) -> dict:
