@@ -25,9 +25,6 @@ from .queries import (
     HypothesisQuery,
     TREE_TYPES,
     answers,
-    best_attribute,
-    best_hypothesis,
-    best_proper_hypothesis,
     impurity,
     is_admissible_attribute,
     is_admissible_hypothesis,
@@ -52,13 +49,10 @@ from .metrics import (
     validate,
 )
 from .rules import (
-    CompletePath,
     DecisionRule,
     RuleSet,
     RuleStats,
-    complete_paths,
     derive_rules,
-    reduce_system,
     render_rule,
     rule_stats,
     rules_to_csv,
@@ -95,7 +89,6 @@ __all__ = [
     "BoolAggregate",
     "BoolSuiteSpec",
     "BooleanFunction",
-    "CompletePath",
     "ComputationState",
     "ConstraintError",
     "DEFAULT_NODE_BUDGET",
@@ -121,11 +114,7 @@ __all__ = [
     "aggregate_bool",
     "answers",
     "balance_scale",
-    "best_attribute",
-    "best_hypothesis",
-    "best_proper_hypothesis",
     "build_tree",
-    "complete_paths",
     "depth",
     "derive_rules",
     "expand_sources",
@@ -142,7 +131,6 @@ __all__ = [
     "parse_suite_spec",
     "random_function",
     "realizable_count",
-    "reduce_system",
     "render_bool_report",
     "render_hypothesis",
     "render_report",

@@ -44,30 +44,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_types(text: str) -> tuple[int, ...]:
-    """Parse a tree-type set: ``3``, ``1,3,5`` or ``2-4``."""
+def _parse_range_list(text: str, what: str, low: int, high: int) -> tuple[int, ...]:
+    """Parse distinct integers in ``low..high``: ``3``, ``1,3,5`` or ``2-4``."""
     out: list[int] = []
     for token in text.split(","):
         token = token.strip()
         if "-" in token.lstrip("-"):
-            low, _, high = token.partition("-")
-            try:
-                bounds = range(int(low), int(high) + 1)
-            except ValueError:
-                raise UsageError(f"bad tree-type range {token!r}")
-            if not bounds:
-                raise UsageError(f"empty tree-type range {token!r}")
-            out.extend(bounds)
+            first, _, last = token.partition("-")
         else:
-            try:
-                out.append(int(token))
-            except ValueError:
-                raise UsageError(f"bad tree type {token!r}")
-    for k in out:
-        if k not in (1, 2, 3, 4, 5):
-            raise UsageError(f"tree type must be 1..5, got {k}")
+            first = last = token
+        try:
+            bounds = range(int(first), int(last) + 1)
+        except ValueError:
+            raise UsageError(f"bad {what} {token!r}")
+        if not bounds:
+            raise UsageError(f"empty {what} range {token!r}")
+        for k in (bounds[0], bounds[-1]):  # before a huge range is expanded
+            if not low <= k <= high:
+                raise UsageError(f"{what} must be {low}..{high}, got {k}")
+        out.extend(bounds)
     if len(set(out)) != len(out):
-        raise UsageError(f"duplicate tree type in {text!r}")
+        raise UsageError(f"duplicate {what} in {text!r}")
     return tuple(out)
 
 
@@ -238,7 +235,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "experiment-bool":
-        sizes = _parse_bool_sizes(args.n)
+        sizes = _parse_range_list(args.n, "variable count", 1, 16)
         if args.count < 1:
             raise UsageError("--count must be positive")
         if args.seed < 0:
@@ -254,35 +251,12 @@ def _run(args: argparse.Namespace) -> int:
     raise UsageError(f"unknown command {args.command!r}")
 
 
-def _parse_bool_sizes(text: str) -> tuple[int, ...]:
-    out: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        if "-" in token:
-            low, _, high = token.partition("-")
-            try:
-                out.extend(range(int(low), int(high) + 1))
-            except ValueError:
-                raise UsageError(f"bad variable-count range {token!r}")
-        else:
-            try:
-                out.append(int(token))
-            except ValueError:
-                raise UsageError(f"bad variable count {token!r}")
-    if not out or len(set(out)) != len(out):
-        raise UsageError(f"bad variable-count list {text!r}")
-    for n in out:
-        if not 1 <= n <= 16:
-            raise UsageError(f"variable count must be 1..16, got {n}")
-    return tuple(out)
-
-
 def _experiment_spec(args: argparse.Namespace, tables: tuple[str, ...]) -> ExperimentSpec:
     try:
         return ExperimentSpec(
             datasets=tables,
             measures=_parse_list(args.measures),
-            tree_types=_parse_types(args.types),
+            tree_types=_parse_range_list(args.types, "tree type", 1, 5),
             metrics=_parse_list(args.metrics),
             node_budget=args.budget,
             workers=args.workers,

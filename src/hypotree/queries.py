@@ -32,9 +32,6 @@ __all__ = [
     "HypothesisQuery",
     "Query",
     "answers",
-    "best_attribute",
-    "best_hypothesis",
-    "best_proper_hypothesis",
     "branch_stats",
     "impurity",
     "is_admissible_attribute",
@@ -230,6 +227,7 @@ def _summarize(table: DecisionTable, stats: BranchStats) -> list[_AttrSummary]:
 def _best_attribute_from(
     table: DecisionTable, stats: BranchStats
 ) -> tuple[AttributeQuery, float]:
+    """Admissible attribute with minimum impurity; ties take the lowest index."""
     offsets = table.offsets
     nvec = stats.n
     u = stats.u
@@ -258,6 +256,15 @@ def _best_attribute_from(
 def _best_hypothesis_from(
     table: DecisionTable, stats: BranchStats, summaries: list[_AttrSummary]
 ) -> tuple[HypothesisQuery, float]:
+    """Admissible hypothesis with minimum impurity.
+
+    Among all minimizers, returns the canonical one: attributes whose largest
+    branch uncertainty exceeds the optimum must dodge that branch, attributes
+    constant on the subtable keep their value, and every other attribute
+    takes its smallest base-table value.  On tables whose rows cover the full
+    value grid this is exactly the first minimizing row in table order, which
+    keeps hypothesis and proper-hypothesis selection aligned there.
+    """
     # Minimum achievable impurity: each attribute contributes at least its
     # second-largest branch uncertainty, so the optimum is their maximum.
     v = 0.0
@@ -281,6 +288,10 @@ def _best_hypothesis_from(
 def _best_proper_from(
     table: DecisionTable, stats: BranchStats, summaries: list[_AttrSummary]
 ) -> tuple[HypothesisQuery, float]:
+    """Minimum-impurity admissible hypothesis among base-table rows.
+
+    Scans rows in table order; the first row achieving the minimum wins.
+    """
     n = table.n
     max1 = np.fromiter((s.max1 for s in summaries), np.float64, n)
     max2 = np.fromiter((s.max2 for s in summaries), np.float64, n)
@@ -320,46 +331,6 @@ def select_query_from_stats(
     return hyp_q, hyp_imp
 
 
-def _stats_for(theta: SubtableRef, u: UncertaintyMeasure) -> BranchStats:
-    if theta.is_degenerate():
-        raise ConstraintError("query selection needs a nondegenerate subtable")
-    return branch_stats(theta.base, theta.selected, u)
-
-
-def best_attribute(
-    theta: SubtableRef, u: UncertaintyMeasure
-) -> tuple[AttributeQuery, float]:
-    """Admissible attribute with minimum impurity; ties take the lowest index."""
-    return _best_attribute_from(theta.base, _stats_for(theta, u))
-
-
-def best_hypothesis(
-    theta: SubtableRef, u: UncertaintyMeasure
-) -> tuple[HypothesisQuery, float]:
-    """Admissible hypothesis with minimum impurity.
-
-    Among all minimizers, returns the canonical one: attributes whose largest
-    branch uncertainty exceeds the optimum must dodge that branch, attributes
-    constant on the subtable keep their value, and every other attribute
-    takes its smallest base-table value.  On tables whose rows cover the full
-    value grid this is exactly the first minimizing row in table order, which
-    keeps hypothesis and proper-hypothesis selection aligned there.
-    """
-    stats = _stats_for(theta, u)
-    return _best_hypothesis_from(theta.base, stats, _summarize(theta.base, stats))
-
-
-def best_proper_hypothesis(
-    theta: SubtableRef, u: UncertaintyMeasure
-) -> tuple[HypothesisQuery, float]:
-    """Minimum-impurity admissible hypothesis among base-table rows.
-
-    Scans rows in table order; the first row achieving the minimum wins.
-    """
-    stats = _stats_for(theta, u)
-    return _best_proper_from(theta.base, stats, _summarize(theta.base, stats))
-
-
 def select_query(
     theta: SubtableRef, u: UncertaintyMeasure, tree_type: int
 ) -> tuple[Query, float]:
@@ -368,4 +339,7 @@ def select_query(
     Types: 1 attribute only, 2 hypothesis only, 3 better of 1 and 2,
     4 proper hypothesis only, 5 better of 1 and 4.
     """
-    return select_query_from_stats(theta.base, _stats_for(theta, u), tree_type)
+    if theta.is_degenerate():
+        raise ConstraintError("query selection needs a nondegenerate subtable")
+    stats = branch_stats(theta.base, theta.selected, u)
+    return select_query_from_stats(theta.base, stats, tree_type)

@@ -2,19 +2,17 @@
 
 A complete path runs from the root to a terminal and accepts at least one
 base-table row.  Its premise is the union of the equation systems on its
-edges, with equations of a final hypothesis-holds edge that literally repeat
-earlier edges dropped before the union.  The rule concludes the terminal's
-decision; its coverage is the number of rows accepted.
+edges; the rule concludes the terminal's decision, and its coverage is the
+number of rows accepted.
 
 Per-row quality takes the best over all paths accepting the row: minimum
 premise length and maximum coverage.  Table-level figures average those
-per-row optima over all rows.  Both read the rows of every path from one
-level-batched routing pass (``DecisionTree.route_rows``).  ``derive_rules``
-materializes every rule, walking only the nodes some row reaches to build
-the premises; ``rule_stats`` keeps only the per-row optima, a few array
-reductions over the terminal occurrences, which is what the experiment
-harness uses on hypothesis-type trees whose path counts run into the
-millions.
+per-row optima over all rows.  Both functions read them off one
+level-batched routing pass (``DecisionTree.route_rows``) with a few array
+reductions over its terminal occurrences.  ``rule_stats`` stops there, which
+is what the experiment harness uses on hypothesis-type trees whose path
+counts run into the millions; ``derive_rules`` also materializes every rule,
+walking only the nodes some row reaches to build the premises.
 """
 
 from __future__ import annotations
@@ -22,22 +20,19 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .table import ConstraintError, DecisionTable, EquationSystem
-from .builder import WORKING_HYP, DecisionTree
+from .builder import WORKING_HYP, DecisionTree, Routing
 from .metrics import _check_pair
 
 __all__ = [
-    "CompletePath",
     "DecisionRule",
     "RuleSet",
     "RuleStats",
-    "complete_paths",
     "derive_rules",
-    "reduce_system",
     "render_rule",
     "rule_stats",
     "rules_to_csv",
@@ -58,73 +53,6 @@ class DecisionRule:
     @property
     def length(self) -> int:
         return len(self.premise)
-
-
-@dataclass(frozen=True)
-class CompletePath:
-    """Edge systems from root to terminal, with the accepted rows."""
-
-    edges: tuple[EquationSystem, ...]
-    terminal: int
-    decision: int
-    rows: np.ndarray
-
-
-def complete_paths(table: DecisionTable, tree: DecisionTree) -> Iterator[CompletePath]:
-    """Root-to-terminal paths accepting at least one row, left to right.
-
-    The rows come from one routing pass; the walk only orders the reached
-    terminals and builds the edge systems, and never enters a node no row
-    reaches.
-    """
-    _check_pair(table, tree)
-    routing = tree.route_rows()
-    reached = routing.node_rows.tolist()
-    # Sorted by (terminal, row), the rows of each terminal form one slice.
-    keys = routing.terminals * table.n_rows + routing.rows
-    keys.sort()
-    rows = keys % table.n_rows
-    starts = keys.searchsorted(np.arange(len(reached)) * table.n_rows).tolist()
-    stack: list[tuple[int, tuple[EquationSystem, ...]]] = [(0, ())]
-    while stack:
-        node, edges = stack.pop()
-        if tree.is_terminal(node):
-            start = starts[node]
-            yield CompletePath(
-                edges, node, tree.decision(node), rows[start : start + reached[node]]
-            )
-            continue
-        children = []
-        for child, attr, payload in tree.child_edges(node):
-            if not reached[child]:
-                continue
-            if attr is None:
-                system = EquationSystem(enumerate(payload))
-            else:
-                system = EquationSystem([(attr, payload)])
-            children.append((child, edges + (system,)))
-        stack.extend(reversed(children))
-
-
-def reduce_system(path: CompletePath) -> EquationSystem:
-    """Premise of a path: union of its edge systems, final hypothesis reduced.
-
-    Single-equation edges are kept verbatim.  When the final edge carries a
-    multi-equation hypothesis system, equations already present in the union
-    of the earlier edges are dropped from it; only literal duplicates are
-    removable, so the result equals the plain union.
-    """
-    if not path.edges:
-        return EquationSystem()
-    earlier = EquationSystem()
-    for system in path.edges[:-1]:
-        earlier = earlier.union(system)
-    last = path.edges[-1]
-    if len(last) > 1:
-        last = EquationSystem(
-            pair for pair in last.items() if pair not in earlier
-        )
-    return earlier.union(last)
 
 
 @dataclass
@@ -148,42 +76,17 @@ class RuleSet(RuleStats):
     rules: list[DecisionRule]
 
 
-def _finish_stats(
-    table: DecisionTable, lengths: np.ndarray, coverages: np.ndarray
-) -> None:
-    if np.count_nonzero(coverages) < table.n_rows:
-        raise ConstraintError("some rows are not covered by any complete path")
-
-
-def derive_rules(table: DecisionTable, tree: DecisionTree) -> RuleSet:
-    """One rule per complete path, with per-row optima over covering rules."""
-    rules = []
-    path_rows = []
-    for path in complete_paths(table, tree):
-        rules.append(DecisionRule(reduce_system(path), path.decision, len(path.rows)))
-        path_rows.append(path.rows)
-    lengths = np.full(table.n_rows, _NO_RULE, dtype=np.int64)
-    coverages = np.zeros(table.n_rows, dtype=np.int64)
-    if rules:
-        covered = np.array([rule.coverage for rule in rules])
-        rows = np.concatenate(path_rows)
-        np.minimum.at(lengths, rows, np.repeat([rule.length for rule in rules], covered))
-        np.maximum.at(coverages, rows, covered.repeat(covered))
-    _finish_stats(table, lengths, coverages)
-    return RuleSet(row_lengths=lengths, row_coverages=coverages, rules=rules)
-
-
-def rule_stats(table: DecisionTable, tree: DecisionTree) -> RuleStats:
-    """Per-row rule optima without materializing the rules.
+def _row_optima(
+    table: DecisionTable, tree: DecisionTree, routing: Routing
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row minimum premise length and maximum coverage over complete paths.
 
     A path's premise length is the number of its single-equation edges (all
     on distinct attributes once empty paths are pruned), or the full
     attribute count when the path ends by confirming a hypothesis, whose
-    system mentions every attribute.  Both, and each terminal's coverage,
-    are read off one routing pass.
+    system mentions every attribute.  A terminal's coverage is the number of
+    rows reaching it.
     """
-    _check_pair(table, tree)
-    routing = tree.route_rows()
     length = routing.depths
     if tree.hypotheses:
         confirms = np.zeros(tree.node_count, dtype=bool)
@@ -193,7 +96,37 @@ def rule_stats(table: DecisionTable, tree: DecisionTree) -> RuleStats:
     coverages = np.zeros(table.n_rows, dtype=np.int64)
     np.minimum.at(lengths, routing.rows, length)
     np.maximum.at(coverages, routing.rows, routing.node_rows.take(routing.terminals))
-    _finish_stats(table, lengths, coverages)
+    if np.count_nonzero(coverages) < table.n_rows:
+        raise ConstraintError("some rows are not covered by any complete path")
+    return lengths, coverages
+
+
+def derive_rules(table: DecisionTable, tree: DecisionTree) -> RuleSet:
+    """One rule per complete path, left to right, with per-row optima."""
+    _check_pair(table, tree)
+    routing = tree.route_rows()
+    lengths, coverages = _row_optima(table, tree, routing)
+    reached = routing.node_rows.tolist()
+    rules = []
+    stack = [(0, EquationSystem())]
+    while stack:
+        node, premise = stack.pop()
+        if tree.is_terminal(node):
+            rules.append(DecisionRule(premise, tree.decision(node), reached[node]))
+            continue
+        children = [
+            (child, premise.union(system))
+            for child, system in zip(tree.children(node), tree.edge_systems(node))
+            if reached[child]
+        ]
+        stack.extend(reversed(children))
+    return RuleSet(row_lengths=lengths, row_coverages=coverages, rules=rules)
+
+
+def rule_stats(table: DecisionTable, tree: DecisionTree) -> RuleStats:
+    """Per-row rule optima without materializing the rules."""
+    _check_pair(table, tree)
+    lengths, coverages = _row_optima(table, tree, tree.route_rows())
     return RuleStats(row_lengths=lengths, row_coverages=coverages)
 
 

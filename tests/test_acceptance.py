@@ -36,7 +36,6 @@ from hypotree import (
     ExperimentSpec,
     aggregate_bool,
     balance_scale,
-    best_hypothesis,
     build_tree,
     depth,
     derive_rules,
@@ -46,6 +45,7 @@ from hypotree import (
     render_report,
     rule_stats,
     run_matrix,
+    select_query,
     table_of,
     tic_tac_toe,
     validate,
@@ -281,7 +281,7 @@ def test_criterion_7_exhaustive_small_tables():
         rows = list(range(t.n_rows))
         if not full.is_degenerate():
             for m in MEASURES:
-                _, imp = best_hypothesis(full, get_measure(m))
+                _, imp = select_query(full, get_measure(m), 2)
                 brute = oracles.brute_best_hypothesis(t, rows, m)
                 if abs(imp - brute) > 1e-12:
                     problems.append(f"best_hypothesis {m}: {imp} vs brute {brute}")

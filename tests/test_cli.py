@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hypotree.cli import main
+from hypotree.cli import UsageError, _parse_range_list, main
 
 from conftest import T0_CSV
 
@@ -220,6 +220,7 @@ class TestExperimentBool:
             ("experiment-bool", "--n", "0", "--types", "1"),
             ("experiment-bool", "--n", "17", "--types", "1"),
             ("experiment-bool", "--n", "2,2", "--types", "1"),
+            ("experiment-bool", "--n", "6-3,2", "--types", "1"),
             ("experiment-bool", "--n", "2", "--count", "0", "--types", "1"),
             ("experiment-bool", "--n", "2", "--seed", "-1", "--types", "1"),
         ],
@@ -228,6 +229,10 @@ class TestExperimentBool:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "error:" in err
+
+    def test_range_bounds_checked_before_expansion(self):
+        with pytest.raises(UsageError, match="got 1000000000000"):
+            _parse_range_list("1-1000000000000", "variable count", 1, 16)
 
 
 class TestExitCodes:

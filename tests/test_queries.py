@@ -15,9 +15,6 @@ from hypotree import (
     HypothesisQuery,
     MEASURES,
     answers,
-    best_attribute,
-    best_hypothesis,
-    best_proper_hypothesis,
     get_measure,
     impurity,
     is_admissible_attribute,
@@ -117,26 +114,26 @@ class TestImpurityAndSelection:
         assert impurity(AttributeQuery(2), full, ME) == 1.0
 
     def test_best_attribute(self, t0):
-        q, imp = best_attribute(t0.all_rows(), ME)
+        q, imp = select_query(t0.all_rows(), ME, 1)
         assert (q.attribute, imp) == (0, 0.0)
 
     def test_best_hypothesis_canonical(self, t0):
-        q, imp = best_hypothesis(t0.all_rows(), ME)
+        q, imp = select_query(t0.all_rows(), ME, 2)
         assert q.hypothesis.values == (0, 0, 0)
         assert imp == 1.0
-        q, imp = best_hypothesis(t0.all_rows(), GINI)
+        q, imp = select_query(t0.all_rows(), GINI, 2)
         assert q.hypothesis.values == (0, 0, 0)
         assert imp == 0.5
 
     def test_best_hypothesis_forced_and_pinned(self, t0):
         # On {f2=1} the f2 branch must be dodged and f1, f3 stay free.
         sub = t0.subtable(EquationSystem([(1, 1)]))
-        q, imp = best_hypothesis(sub, ME)
+        q, imp = select_query(sub, ME, 2)
         assert q.hypothesis.values == (0, 1, 0)
         assert imp == 0.0
 
     def test_best_proper(self, t0):
-        q, imp = best_proper_hypothesis(t0.all_rows(), ME)
+        q, imp = select_query(t0.all_rows(), ME, 4)
         assert q.hypothesis.values == (0, 0, 0)
         assert is_proper(q.hypothesis, t0)
         assert imp == 1.0
@@ -162,11 +159,9 @@ class TestImpurityAndSelection:
 
     def test_degenerate_subtable_rejected(self, t0):
         sub = t0.subtable(EquationSystem([(0, 1)]))
-        for fn in (best_attribute, best_hypothesis, best_proper_hypothesis):
+        for tree_type in (1, 2, 3, 4, 5):
             with pytest.raises(ConstraintError):
-                fn(sub, ME)
-        with pytest.raises(ConstraintError):
-            select_query(sub, ME, 3)
+                select_query(sub, ME, tree_type)
 
     def test_bad_tree_type_rejected(self, t0):
         with pytest.raises(ConstraintError):
@@ -200,12 +195,12 @@ class TestBruteForceAgreement:
             rows = list(range(t.n_rows))
             full = t.all_rows()
 
-            got = best_attribute(full, u)
+            got = select_query(full, u, 1)
             expect = oracles.brute_best_attribute(t, rows, name)
             assert got[0].attribute == expect[0]
             assert got[1] == pytest.approx(expect[1], abs=1e-12)
 
-            q, imp = best_hypothesis(full, u)
+            q, imp = select_query(full, u, 2)
             h = q.hypothesis.values
             assert is_admissible_hypothesis(q.hypothesis, full)
             best = oracles.brute_best_hypothesis(t, rows, name)
@@ -214,7 +209,7 @@ class TestBruteForceAgreement:
                 best, abs=1e-12
             )
 
-            q, imp = best_proper_hypothesis(full, u)
+            q, imp = select_query(full, u, 4)
             assert is_proper(q.hypothesis, t)
             best = oracles.brute_best_proper_hypothesis(t, rows, name)
             assert imp == pytest.approx(best, abs=1e-12)
@@ -235,20 +230,20 @@ class TestBruteForceAgreement:
                 continue
             rows = list(sub.selected)
 
-            q, imp = best_hypothesis(sub, u)
+            q, imp = select_query(sub, u, 2)
             assert is_admissible_hypothesis(q.hypothesis, sub)
             assert imp == pytest.approx(
                 oracles.brute_best_hypothesis(t, rows, name), abs=1e-12
             )
 
-            q, imp = best_proper_hypothesis(sub, u)
+            q, imp = select_query(sub, u, 4)
             assert is_proper(q.hypothesis, t)
             assert is_admissible_hypothesis(q.hypothesis, sub)
             assert imp == pytest.approx(
                 oracles.brute_best_proper_hypothesis(t, rows, name), abs=1e-12
             )
 
-            got = best_attribute(sub, u)
+            got = select_query(sub, u, 1)
             expect = oracles.brute_best_attribute(t, rows, name)
             assert got[0].attribute == expect[0]
             assert got[1] == pytest.approx(expect[1], abs=1e-12)

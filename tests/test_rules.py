@@ -1,4 +1,4 @@
-"""Complete paths, premise reduction, rule derivation, and rule statistics."""
+"""Rule derivation, per-row rule optima, and rule rendering."""
 
 import random
 
@@ -10,69 +10,16 @@ from hypotree import (
     DecisionTable,
     EquationSystem,
     build_tree,
-    complete_paths,
     derive_rules,
-    reduce_system,
     render_rule,
     rule_stats,
     rules_to_csv,
 )
-from hypotree.rules import CompletePath, _finish_stats
+from hypotree.builder import Routing
+from hypotree.rules import _row_optima
 
+import oracles
 from test_queries import random_table
-
-
-class TestCompletePaths:
-    def test_attribute_tree_paths(self, t0):
-        tree = build_tree(t0, 1, "me")
-        paths = list(complete_paths(t0, tree))
-        assert [p.terminal for p in paths] == [1, 2]
-        assert [list(p.rows) for p in paths] == [[0, 1], [2, 3]]
-        assert paths[0].edges == (EquationSystem([(0, 0)]),)
-        assert paths[0].decision == 1
-
-    def test_hypothesis_tree_prunes_empty_branches(self, t0):
-        tree = build_tree(t0, 2, "me")
-        paths = list(complete_paths(t0, tree))
-        # 13 nodes but only 6 complete paths: empty branches are dropped.
-        assert [p.terminal for p in paths] == [1, 2, 6, 8, 10, 11]
-        assert all(len(p.rows) > 0 for p in paths)
-
-    def test_degenerate_root_path(self):
-        t = DecisionTable(("a",), np.array([(0,), (1,)]), np.array([4, 4]))
-        paths = list(complete_paths(t, build_tree(t, 1, "me")))
-        assert len(paths) == 1
-        assert paths[0].edges == ()
-        assert list(paths[0].rows) == [0, 1]
-
-
-class TestReduceSystem:
-    def test_single_edges_union(self, t0):
-        path = CompletePath(
-            (EquationSystem([(1, 1)]), EquationSystem([(0, 1)])),
-            terminal=0,
-            decision=2,
-            rows=np.array([3]),
-        )
-        assert reduce_system(path) == EquationSystem([(0, 1), (1, 1)])
-
-    def test_final_hypothesis_drops_duplicates(self):
-        path = CompletePath(
-            (
-                EquationSystem([(0, 1)]),
-                EquationSystem([(0, 1), (1, 0), (2, 1)]),
-            ),
-            terminal=0,
-            decision=2,
-            rows=np.array([2]),
-        )
-        reduced = reduce_system(path)
-        assert reduced == EquationSystem([(0, 1), (1, 0), (2, 1)])
-        assert len(reduced) == 3
-
-    def test_empty_path(self):
-        path = CompletePath((), terminal=0, decision=4, rows=np.array([0]))
-        assert reduce_system(path) == EquationSystem()
 
 
 class TestDeriveRules:
@@ -87,10 +34,13 @@ class TestDeriveRules:
         assert rs.average_coverage == 2.0
 
     def test_hypothesis_tree_rules(self, t0):
-        rs = derive_rules(t0, build_tree(t0, 2, "me"))
+        tree = build_tree(t0, 2, "me")
+        rs = derive_rules(t0, tree)
         got = [
             (render_rule(r, t0.attribute_names)) for r in rs.rules
         ]
+        # 13 nodes but only 6 rules, left to right: empty branches are dropped.
+        assert tree.node_count == 13
         assert got == [
             "(f1=0) ∧ (f2=0) ∧ (f3=0) → 1 [len=3, cov=1]",
             "(f1=1) → 2 [len=1, cov=2]",
@@ -104,18 +54,41 @@ class TestDeriveRules:
         assert rs.average_length == pytest.approx(1.75)
         assert rs.average_coverage == pytest.approx(1.5)
 
+    def test_confirmed_hypothesis_repeating_an_edge(self, t0):
+        # Node 3 is reached by the counterexample f2=1 and asks
+        # H[f1=0,f2=1,f3=1]; confirming it repeats f2=1, counted once.
+        rs = derive_rules(t0, build_tree(t0, 4, "me"))
+        got = [render_rule(r, t0.attribute_names) for r in rs.rules]
+        assert got == [
+            "(f1=0) ∧ (f2=0) ∧ (f3=0) → 1 [len=3, cov=1]",
+            "(f1=1) → 2 [len=1, cov=2]",
+            "(f1=0) ∧ (f2=1) ∧ (f3=1) → 1 [len=3, cov=1]",
+            "(f1=1) ∧ (f2=1) → 2 [len=2, cov=1]",
+            "(f2=1) ∧ (f3=0) → 2 [len=2, cov=1]",
+            "(f1=0) ∧ (f2=1) ∧ (f3=1) → 1 [len=3, cov=1]",
+            "(f1=1) ∧ (f3=1) → 2 [len=2, cov=1]",
+            "(f2=0) ∧ (f3=1) → 2 [len=2, cov=1]",
+        ]
+        assert list(rs.row_lengths) == [3, 3, 1, 1]
+        assert list(rs.row_coverages) == [1, 1, 2, 2]
+
     def test_true_premise_on_degenerate_table(self):
         t = DecisionTable(("a",), np.array([(0,), (1,)]), np.array([4, 4]))
         rs = derive_rules(t, build_tree(t, 3, "gini"))
         assert len(rs.rules) == 1
         assert render_rule(rs.rules[0], ("a",)) == "true → 4 [len=0, cov=2]"
         assert list(rs.row_lengths) == [0, 0]
+        assert list(rs.row_coverages) == [2, 2]
 
     def test_uncovered_rows_rejected(self, t0):
-        with pytest.raises(ConstraintError):
-            _finish_stats(
-                t0, np.zeros(4, dtype=np.int64), np.array([1, 0, 1, 1])
-            )
+        tree = build_tree(t0, 1, "me")
+        routing = tree.route_rows()
+        keep = routing.rows != 1
+        dropped = Routing(
+            routing.node_rows, routing.rows[keep], routing.terminals[keep], routing.depths[keep]
+        )
+        with pytest.raises(ConstraintError, match="not covered"):
+            _row_optima(t0, tree, dropped)
 
 
 class TestSoundnessAndStats:
@@ -136,15 +109,34 @@ class TestSoundnessAndStats:
                 assert 0 <= rule.length <= t.n
 
     @pytest.mark.parametrize("tree_type", [1, 2, 3, 4, 5])
+    def test_row_optima_match_oracle(self, tree_type):
+        rng = random.Random(2468)
+        for _ in range(15):
+            t = random_table(rng)
+            tree = build_tree(t, tree_type, "gini")
+            rs = derive_rules(t, tree)
+            lengths, coverages = oracles.oracle_rule_stats(t, tree)
+            assert np.array_equal(rs.row_lengths, lengths)
+            assert np.array_equal(rs.row_coverages, coverages)
+
+    @pytest.mark.parametrize("tree_type", [1, 2, 3, 4, 5])
     def test_rule_stats_matches_derive_rules(self, tree_type):
+        """Each row's optima are those of the materialized rules it satisfies."""
         rng = random.Random(987)
         for _ in range(15):
             t = random_table(rng)
             tree = build_tree(t, tree_type, "me")
             full = derive_rules(t, tree)
+            lengths = np.full(t.n_rows, t.n + 1)
+            coverages = np.zeros(t.n_rows, dtype=np.int64)
+            for rule in full.rules:
+                rows = t.subtable(rule.premise).selected
+                lengths[rows] = np.minimum(lengths[rows], rule.length)
+                coverages[rows] = np.maximum(coverages[rows], rule.coverage)
             lean = rule_stats(t, tree)
-            assert np.array_equal(full.row_lengths, lean.row_lengths)
-            assert np.array_equal(full.row_coverages, lean.row_coverages)
+            for stats in (full, lean):
+                assert np.array_equal(stats.row_lengths, lengths)
+                assert np.array_equal(stats.row_coverages, coverages)
             assert lean.row_coverages.min() >= 1
             assert lean.row_lengths.max() <= t.n
 
@@ -154,8 +146,11 @@ class TestSoundnessAndStats:
                 tree = build_tree(table, k, "rme")
                 full = derive_rules(table, tree)
                 lean = rule_stats(table, tree)
-                assert np.array_equal(full.row_lengths, lean.row_lengths)
-                assert np.array_equal(full.row_coverages, lean.row_coverages)
+                lengths, coverages = oracles.oracle_rule_stats(table, tree)
+                assert np.array_equal(full.row_lengths, lengths)
+                assert np.array_equal(full.row_coverages, coverages)
+                assert np.array_equal(lean.row_lengths, lengths)
+                assert np.array_equal(lean.row_coverages, coverages)
 
 
 class TestRendering:
