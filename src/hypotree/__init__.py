@@ -29,7 +29,6 @@ from .queries import (
     is_admissible_attribute,
     is_admissible_hypothesis,
     is_proper,
-    render_hypothesis,
     select_query,
 )
 from .builder import (
@@ -132,7 +131,6 @@ __all__ = [
     "random_function",
     "realizable_count",
     "render_bool_report",
-    "render_hypothesis",
     "render_report",
     "render_rule",
     "rule_stats",

@@ -35,13 +35,20 @@ tree.  The node budget is checked before any child of a node is allocated:
 per node on a narrow level, once per chunk on a wide one, with the same
 count of allocated nodes in the error either way.
 
+A hypothesis is stored once, as its row of value codes (positions in the
+base table's ``value_sets``) in one flat array; a hypothesis node's label is
+its row number there.  Both ways of expanding a level choose a hypothesis as
+codes and store those codes as they are.  Values are read back from the codes
+only where a caller sees them: ``DecisionTree.query``, ``child_edges`` and
+``serialize``.
+
 ``DecisionTree.serialize`` writes the text form from the arena columns and
-the stored hypotheses, never through the per-node accessors: a terminal's
-line straight from its id and label, a working node's line by filling a
-``%d`` template with its id and the consecutive range of its children's
-ids.  Within one call a template is made once per queried attribute and
-once per distinct hypothesis, whose ``H[...]`` text serves both its query
-and its holds edge; nothing is kept between calls.
+the stored codes, never through the per-node accessors: a terminal's line
+straight from its id and label, a working node's line by filling a ``%d``
+template with its id and the consecutive range of its children's ids.
+Within one call a template is made once per queried attribute and once per
+distinct hypothesis, whose ``H[...]`` text serves both its query and its
+holds edge; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -173,15 +180,17 @@ class DecisionTree:
     Read-only numpy views of the arena are exposed for the metrics; per-node
     accessors materialize query and edge objects on demand.  Node 0 is the
     root.  ``path_row_counts[i]`` is the number of base-table rows matching
-    the equations on the path to node ``i``.  Hypotheses are also kept as
-    value codes, one row of ``base.n`` codes each, for the routing pass.
+    the equations on the path to node ``i``.  Hypotheses are kept only as
+    value codes, one row of ``base.n`` codes each, which the routing pass
+    reads as they are; a hypothesis node's label is its row.  ``query``,
+    ``child_edges`` and ``serialize`` turn the codes into values through
+    ``base.value_sets``.
     """
 
     __slots__ = (
         "base",
         "tree_type",
         "measure_name",
-        "hypotheses",
         "_kind",
         "_label",
         "_first",
@@ -192,12 +201,11 @@ class DecisionTree:
         "_hyp_arrays",
     )
 
-    def __init__(self, base, tree_type, measure_name, hypotheses,
+    def __init__(self, base, tree_type, measure_name,
                  kind, label, first, nchild, nrows, hyp_codes):
         self.base: DecisionTable = base
         self.tree_type: int = tree_type
         self.measure_name: str = measure_name
-        self.hypotheses: list[tuple[int, ...]] = hypotheses
         self._kind = kind
         self._label = label
         self._first = first
@@ -258,12 +266,18 @@ class DecisionTree:
             raise ConstraintError(f"node {node} is not terminal")
         return self._label[node]
 
+    def _hypothesis(self, at: int) -> tuple[int, ...]:
+        """Values of stored hypothesis ``at``, read from its value codes."""
+        n = self.base.n
+        codes = self._hyp_codes[at * n : at * n + n]
+        return tuple([vs[c] for vs, c in zip(self.base.value_sets, codes)])
+
     def query(self, node: int) -> Query:
         kind = self._kind[node]
         if kind == WORKING_ATTR:
             return AttributeQuery(self._label[node])
         if kind == WORKING_HYP:
-            return HypothesisQuery(Hypothesis(self.hypotheses[self._label[node]]))
+            return HypothesisQuery(Hypothesis(self._hypothesis(self._label[node])))
         raise ConstraintError(f"node {node} is terminal and has no query")
 
     def children(self, node: int) -> range:
@@ -271,9 +285,6 @@ class DecisionTree:
         if first < 0:
             return range(0)
         return range(first, first + self._nchild[node])
-
-    def n_rows_at(self, node: int) -> int:
-        return self._nrows[node]
 
     def child_edges(self, node: int) -> list[tuple[int, int | None, object]]:
         """Children with lean edge descriptors.
@@ -292,7 +303,7 @@ class DecisionTree:
                 out.append((first + pos, i, v))
             return out
         if kind == WORKING_HYP:
-            values = self.hypotheses[self._label[node]]
+            values = self._hypothesis(self._label[node])
             out.append((first, None, values))
             cid = first + 1
             for i, delta in enumerate(values):
@@ -429,8 +440,11 @@ class DecisionTree:
         """
         base = self.base
         first, nchild = self._first, self._nchild
+        # Hypothesis ``at``'s codes are one slice of these bytes, which keys its template.
+        raw = self._hyp_codes.tobytes()
+        width = base.n * self._hyp_codes.itemsize
         attribute_lines: dict[int, str] = {}
-        hypothesis_lines: dict[tuple[int, ...], str] = {}
+        hypothesis_lines: dict[bytes, str] = {}
         names = None
         lines = []
         for node, kind, at in zip(range(len(self._kind)), self._kind, self._label):
@@ -446,13 +460,13 @@ class DecisionTree:
                     )
                     attribute_lines[at] = line
             else:
-                hypothesis = self.hypotheses[at]
-                line = hypothesis_lines.get(hypothesis)
+                key = raw[at * width : at * width + width]
+                line = hypothesis_lines.get(key)
                 if line is None:
                     if names is None:
                         names = [name.replace("%", "%%") for name in base.attribute_names]
-                    line = _hypothesis_template(names, base.value_sets, hypothesis)
-                    hypothesis_lines[hypothesis] = line
+                    line = _hypothesis_template(names, base.value_sets, self._hypothesis(at))
+                    hypothesis_lines[key] = line
             child = first[node]
             lines.append(line % (node, *range(child, child + nchild[node])))
         lines.append("")
@@ -477,7 +491,6 @@ class _Builder:
         self.first = array("q")
         self.nchild = array("i")
         self.nrows = array("q")
-        self.hypotheses: list[tuple[int, ...]] = []
         self.hyp_codes = array(_code_typecode(table))
         self.pending: list[tuple[int, np.ndarray]] = []
         self._layout: _BranchLayout | None = None
@@ -516,7 +529,6 @@ class _Builder:
             table,
             self.tree_type,
             self.measure.name,
-            self.hypotheses,
             self.kind,
             self.label,
             self.first,
@@ -546,31 +558,27 @@ class _Builder:
         """Expand one node of a narrow level; its pending children join ``pending``."""
         table = self.table
         stats = branch_stats(table, rows, self.measure)
-        query, _ = select_query_from_stats(table, stats, self.tree_type)
+        choice, _ = select_query_from_stats(table, stats, self.tree_type)
 
-        if isinstance(query, AttributeQuery):
-            i = query.attribute
-            n_children = len(table.value_sets[i])
+        if type(choice) is int:  # an attribute; else a hypothesis's value codes
+            n_children = len(table.value_sets[choice])
             self.kind[node] = WORKING_ATTR
-            self.label[node] = i
-            branches = [(i, pos) for pos in range(n_children)]
+            self.label[node] = choice
+            branches = [(choice, pos) for pos in range(n_children)]
             hyp_child = None
         else:
-            values = query.hypothesis.values
             n_children = 1 + table.total_branches - table.n
             self.kind[node] = WORKING_HYP
-            self.label[node] = len(self.hypotheses)
-            self.hypotheses.append(values)
-            branches = []
-            for i, delta in enumerate(values):
-                delta_pos = table.value_sets[i].index(delta)
-                self.hyp_codes.append(delta_pos)
-                branches.extend(
-                    (i, pos)
-                    for pos in range(len(table.value_sets[i]))
-                    if pos != delta_pos
-                )
-            hyp_child = values
+            self.label[node] = len(self.hyp_codes) // table.n
+            self.hyp_codes.extend(choice)
+            branches = [
+                (i, pos)
+                for i, own in enumerate(choice)
+                for pos in range(len(table.value_sets[i]))
+                if pos != own
+            ]
+            # Values only to look up the one row equal to the hypothesis.
+            hyp_child = tuple([vs[c] for vs, c in zip(table.value_sets, choice)])
 
         if len(self.kind) + n_children > self.budget:
             raise NodeBudgetExceeded(self.budget, len(self.kind))
@@ -809,13 +817,9 @@ class _Builder:
         table = self.table
         hyp_at = np.flatnonzero(use_hyp)
         label = attr.copy()
-        label[hyp_at] = len(self.hypotheses) + np.arange(len(hyp_at))
-        if len(hyp_at):
-            chosen = hcodes[hyp_at]
-            self.hypotheses.extend(
-                map(tuple, self._layout.values[np.arange(table.n), chosen].tolist())
-            )
-            self.hyp_codes.frombytes(chosen.astype(self.hyp_codes.typecode).tobytes())
+        label[hyp_at] = len(self.hyp_codes) // table.n + np.arange(len(hyp_at))
+        chosen = hcodes[hyp_at]
+        self.hyp_codes.frombytes(chosen.astype(self.hyp_codes.typecode).tobytes())
         for arena, values in (
             (self.kind, np.where(use_hyp, WORKING_HYP, WORKING_ATTR)),
             (self.label, label),
@@ -831,11 +835,10 @@ class _BranchLayout:
     """Where each (attribute, value) branch sits, for the level-batched path.
 
     ``pad`` gathers the branches into a (attribute x value) grid padded with
-    index ``total_branches`` (a sentinel column callers append) and
-    ``values`` holds the value of each (attribute, code).  With ``proper``
-    (types 4 and 5), ``row_bits[i, c]`` holds the rows whose attribute ``i``
-    has code ``c`` and ``all_rows`` every row, packed 64 rows to a
-    ``uint64`` word: row ``r`` is bit ``r % 64`` of word ``r // 64``.
+    index ``total_branches`` (a sentinel column callers append).  With
+    ``proper`` (types 4 and 5), ``row_bits[i, c]`` holds the rows whose
+    attribute ``i`` has code ``c`` and ``all_rows`` every row, packed 64
+    rows to a ``uint64`` word: row ``r`` is bit ``r % 64`` of word ``r // 64``.
     """
 
     def __init__(self, table: DecisionTable, proper: bool):
@@ -847,9 +850,6 @@ class _BranchLayout:
         self.branch_code = np.arange(table.total_branches) - table.offsets[self.branch_attr]
         self.pad = np.where(
             code < sizes[:, None], table.offsets[:-1, None] + code, table.total_branches
-        )
-        self.values = np.array(
-            [list(vs) + [0] * (width - len(vs)) for vs in table.value_sets], dtype=np.int64
         )
         if proper:
             self.row_bits = _pack_rows(table.codes.T[:, None, :] == code[:, None])

@@ -19,11 +19,14 @@ from pathlib import Path
 from .table import DecisionTable
 from .uncertainty import MEASURES
 from .builder import DEFAULT_NODE_BUDGET, NodeBudgetExceeded, build_tree
-from .metrics import depth, realizable_count, validate
-from .rules import derive_rules, render_rule, rule_stats, rules_to_csv
+from .metrics import validate
+from .rules import derive_rules, render_rule, rules_to_csv
 from .harness import (
+    METRICS,
     DataError,
     ExperimentSpec,
+    _format_value,
+    _metric_values,
     aggregate_bool,
     load_source,
     load_table,
@@ -152,10 +155,6 @@ def _build_parser() -> _Parser:
 
     check = commands.add_parser("validate", help="check a built tree")
     _add_table_args(check)
-    check.add_argument("--simulation-bound", type=int, default=10 ** 6,
-                       metavar="N",
-                       help="report the exhaustive simulation only while no row has "
-                            "more than this many paths")
 
     experiment = commands.add_parser("experiment", help="dataset/measure/type grid")
     experiment.add_argument("--tables", required=True, nargs="+", metavar="SRC",
@@ -191,21 +190,13 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "metrics":
         wanted = _parse_list(args.show)
         for metric in wanted:
-            if metric not in ("h", "L", "l", "c"):
+            if metric not in METRICS:
                 raise UsageError(f"unknown metric {metric!r}; options: h, L, l, c")
         table = _single_table(args.table, args.decision_column)
         tree = build_tree(table, args.type, args.measure, node_budget=args.budget)
-        values: dict[str, str] = {}
-        if "h" in wanted:
-            values["h"] = str(depth(tree))
-        if "L" in wanted:
-            values["L"] = str(realizable_count(table, tree))
-        if "l" in wanted or "c" in wanted:
-            stats = rule_stats(table, tree)
-            values["l"] = f"{stats.average_length:.2f}"
-            values["c"] = f"{stats.average_coverage:.2f}"
+        values = _metric_values(table, tree, wanted)
         for metric in wanted:
-            print(f"{metric}={values[metric]}")
+            print(f"{metric}={_format_value(metric, values[metric])}")
         return 0
 
     if args.command == "rules":
@@ -224,7 +215,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "validate":
         table = _single_table(args.table, args.decision_column)
         tree = build_tree(table, args.type, args.measure, node_budget=args.budget)
-        report = validate(table, tree, simulation_bound=args.simulation_bound)
+        report = validate(table, tree)
         print(report.render())
         return 0 if report.ok else 2
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .table import DecisionTable
 from .uncertainty import MEASURES
-from .builder import DEFAULT_NODE_BUDGET, NodeBudgetExceeded, build_tree
+from .builder import DEFAULT_NODE_BUDGET, DecisionTree, NodeBudgetExceeded, build_tree
 from .metrics import depth, realizable_count
 from .rules import rule_stats
 from .boolgen import parse_suite_spec, random_function, table_of
@@ -279,6 +279,22 @@ class ReportCell:
 _Task = tuple[str, str, int, str, int, tuple[str, ...], int]
 
 
+def _metric_values(
+    table: DecisionTable, tree: DecisionTree, metrics: Sequence[str]
+) -> dict[str, float]:
+    """The requested metrics of a tree, keyed by name; ``l`` and ``c`` come together."""
+    values: dict[str, float] = {}
+    if "h" in metrics:
+        values["h"] = depth(tree)
+    if "L" in metrics:
+        values["L"] = realizable_count(table, tree)
+    if "l" in metrics or "c" in metrics:
+        stats = rule_stats(table, tree)
+        values["l"] = stats.average_length
+        values["c"] = stats.average_coverage
+    return values
+
+
 def _run_task(task: _Task) -> list[ReportCell]:
     dataset, token, index, measure, tree_type, metrics, budget = task
     started = time.perf_counter()
@@ -300,16 +316,7 @@ def _run_task(task: _Task) -> list[ReportCell]:
     except DataError as exc:
         return cells(lambda metric: None, None, aborted=True, note=str(exc))
 
-    values: dict[str, float] = {}
-    if "h" in metrics:
-        values["h"] = depth(tree)
-    if "L" in metrics:
-        values["L"] = realizable_count(table, tree)
-    if "l" in metrics or "c" in metrics:
-        stats = rule_stats(table, tree)
-        values["l"] = stats.average_length
-        values["c"] = stats.average_coverage
-    return cells(values.__getitem__, tree.node_count)
+    return cells(_metric_values(table, tree, metrics).__getitem__, tree.node_count)
 
 
 def run_matrix(spec: ExperimentSpec) -> list[ReportCell]:

@@ -12,8 +12,7 @@ to answer.  Validation takes every choice at once: one level-batched routing
 pass (``DecisionTree.route_rows``) sends each row down all of its truthful
 paths, and the same (row, node) occurrences serve as the structural check
 (recomputed subtable sizes, terminal labels) and as the exhaustive truthful
-simulation (the decision at every terminal a row reaches).  The simulation
-bound only decides whether the simulation's findings are reported.
+simulation (the decision at every terminal a row reaches).
 """
 
 from __future__ import annotations
@@ -147,10 +146,9 @@ def simulate(
 
 @dataclass
 class ValidationReport:
-    """Outcome of validate(): one violation per line, plus what actually ran."""
+    """Outcome of validate(): one violation per line, plus the rows simulated."""
 
     violations: list[str] = field(default_factory=list)
-    simulation_ran: bool = False
     rows_simulated: int = 0
 
     @property
@@ -160,17 +158,10 @@ class ValidationReport:
     def render(self) -> str:
         if not self.ok:
             return "\n".join(self.violations)
-        if self.simulation_ran:
-            return f"ok: structural checks and {self.rows_simulated}-row simulation passed"
-        return "ok: structural checks passed; simulation skipped (too many paths)"
+        return f"ok: structural checks and {self.rows_simulated}-row simulation passed"
 
 
-def validate(
-    table: DecisionTable,
-    tree: DecisionTree,
-    *,
-    simulation_bound: int = 10**6,
-) -> ValidationReport:
+def validate(table: DecisionTable, tree: DecisionTree) -> ValidationReport:
     """Check a tree against the subtables and computations of its table rows.
 
     One routing pass (``DecisionTree.route_rows``) sends every row along all
@@ -179,14 +170,11 @@ def validate(
     recorded subtable size must equal the number of rows reaching it, a
     terminal no row reaches must carry 0, and a reached terminal must carry
     its rows' single shared decision.  Simulation: every terminal a row
-    reaches must decide the row's decision.  The simulation is reported only
-    while no row has more than ``simulation_bound`` truthful computation
-    paths; past the bound the report notes that only the structural checks
-    ran.  Structural violations come first, by node; simulation violations
-    follow, by row and then terminal.
+    reaches must decide the row's decision.  Structural violations come
+    first, by node; simulation violations follow, by row and then terminal.
     """
     _check_pair(table, tree)
-    report = ValidationReport()
+    report = ValidationReport(rows_simulated=table.n_rows)
     routing = tree.route_rows()
     reached = routing.node_rows
     recorded = tree.path_row_counts
@@ -230,11 +218,6 @@ def validate(
     for node in sorted(structural):
         report.violations.extend(structural[node])
 
-    paths = np.bincount(routing.rows, minlength=table.n_rows)
-    if paths.max(initial=0) > simulation_bound:
-        return report
-    report.simulation_ran = True
-    report.rows_simulated = table.n_rows
     if any_wrong:
         rows = routing.rows[wrong]
         terminals = routing.terminals[wrong]

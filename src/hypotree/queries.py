@@ -17,7 +17,7 @@ two kinds tie the attribute wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "is_admissible_attribute",
     "is_admissible_hypothesis",
     "is_proper",
-    "render_hypothesis",
     "select_query",
     "select_query_from_stats",
 ]
@@ -73,11 +72,6 @@ class Answer:
     """One possible answer to a query, as the equation system it asserts."""
 
     system: EquationSystem
-
-
-def render_hypothesis(h: Hypothesis, names: Sequence[str]) -> str:
-    body = ",".join(f"{names[i]}={v}" for i, v in enumerate(h.values))
-    return f"H[{body}]"
 
 
 def _check_hypothesis(h: Hypothesis, base: DecisionTable) -> None:
@@ -224,9 +218,7 @@ def _summarize(table: DecisionTable, stats: BranchStats) -> list[_AttrSummary]:
     return out
 
 
-def _best_attribute_from(
-    table: DecisionTable, stats: BranchStats
-) -> tuple[AttributeQuery, float]:
+def _best_attribute_from(table: DecisionTable, stats: BranchStats) -> tuple[int, float]:
     """Admissible attribute with minimum impurity; ties take the lowest index."""
     offsets = table.offsets
     nvec = stats.n
@@ -250,13 +242,11 @@ def _best_attribute_from(
             best_i = i
     if best_i < 0:
         raise ConstraintError("no admissible attribute; subtable is degenerate")
-    return AttributeQuery(best_i), best
+    return best_i, best
 
 
-def _best_hypothesis_from(
-    table: DecisionTable, stats: BranchStats, summaries: list[_AttrSummary]
-) -> tuple[HypothesisQuery, float]:
-    """Admissible hypothesis with minimum impurity.
+def _best_hypothesis_from(summaries: list[_AttrSummary]) -> tuple[tuple[int, ...], float]:
+    """Value codes of the admissible hypothesis with minimum impurity.
 
     Among all minimizers, returns the canonical one: attributes whose largest
     branch uncertainty exceeds the optimum must dodge that branch, attributes
@@ -271,24 +261,23 @@ def _best_hypothesis_from(
     for s in summaries:
         if s.max2 > v:
             v = s.max2
-    values = []
-    for i, s in enumerate(summaries):
-        vs = table.value_sets[i]
+    codes = []
+    for s in summaries:
         if s.max1 > v:
             # Forced: skipping this branch is the only way to stay at v, and
             # the argmax is unique (a tie would push max2 above v).
-            values.append(vs[s.best_pos])
+            codes.append(s.best_pos)
         elif s.const_pos >= 0:
-            values.append(vs[s.const_pos])  # pinned by admissibility
+            codes.append(s.const_pos)  # pinned by admissibility
         else:
-            values.append(vs[0])  # free: smallest value, canonical minimizer
-    return HypothesisQuery(Hypothesis(tuple(values))), v
+            codes.append(0)  # free: smallest value, canonical minimizer
+    return tuple(codes), v
 
 
 def _best_proper_from(
-    table: DecisionTable, stats: BranchStats, summaries: list[_AttrSummary]
-) -> tuple[HypothesisQuery, float]:
-    """Minimum-impurity admissible hypothesis among base-table rows.
+    table: DecisionTable, summaries: list[_AttrSummary]
+) -> tuple[tuple[int, ...], float]:
+    """Value codes of the minimum-impurity admissible hypothesis among base-table rows.
 
     Scans rows in table order; the first row achieving the minimum wins.
     """
@@ -305,30 +294,34 @@ def _best_proper_from(
     value = float(imp[row])
     if not np.isfinite(value):
         raise ConstraintError("no admissible proper hypothesis")
-    return HypothesisQuery(Hypothesis(table.row_values(row))), value
+    return tuple(table.codes[row].tolist()), value
 
 
 def select_query_from_stats(
     table: DecisionTable, stats: BranchStats, tree_type: int
-) -> tuple[Query, float]:
-    """Pick the minimum-impurity query of the kind the tree type allows."""
+) -> tuple[int | tuple[int, ...], float]:
+    """Pick the minimum-impurity query of the kind the tree type allows.
+
+    The query comes back as an attribute index, or as a hypothesis's tuple of
+    value codes (positions in ``table.value_sets``), with its impurity.
+    """
     if tree_type not in TREE_TYPES:
         raise ConstraintError(f"tree type must be one of {TREE_TYPES}, got {tree_type}")
     if tree_type == 1:
         return _best_attribute_from(table, stats)
     summaries = _summarize(table, stats)
     if tree_type == 2:
-        return _best_hypothesis_from(table, stats, summaries)
+        return _best_hypothesis_from(summaries)
     if tree_type == 4:
-        return _best_proper_from(table, stats, summaries)
-    attr_q, attr_imp = _best_attribute_from(table, stats)
+        return _best_proper_from(table, summaries)
+    attr, attr_imp = _best_attribute_from(table, stats)
     if tree_type == 3:
-        hyp_q, hyp_imp = _best_hypothesis_from(table, stats, summaries)
+        codes, hyp_imp = _best_hypothesis_from(summaries)
     else:
-        hyp_q, hyp_imp = _best_proper_from(table, stats, summaries)
+        codes, hyp_imp = _best_proper_from(table, summaries)
     if attr_imp <= hyp_imp:  # equal impurity goes to the attribute
-        return attr_q, attr_imp
-    return hyp_q, hyp_imp
+        return attr, attr_imp
+    return codes, hyp_imp
 
 
 def select_query(
@@ -341,5 +334,10 @@ def select_query(
     """
     if theta.is_degenerate():
         raise ConstraintError("query selection needs a nondegenerate subtable")
-    stats = branch_stats(theta.base, theta.selected, u)
-    return select_query_from_stats(theta.base, stats, tree_type)
+    base = theta.base
+    stats = branch_stats(base, theta.selected, u)
+    choice, imp = select_query_from_stats(base, stats, tree_type)
+    if type(choice) is int:
+        return AttributeQuery(choice), imp
+    values = tuple([vs[c] for vs, c in zip(base.value_sets, choice)])
+    return HypothesisQuery(Hypothesis(values)), imp

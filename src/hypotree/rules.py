@@ -88,7 +88,7 @@ def _row_optima(
     rows reaching it.
     """
     length = routing.depths
-    if tree.hypotheses:
+    if len(tree._hyp_codes):  # some node asks a hypothesis
         confirms = np.zeros(tree.node_count, dtype=bool)
         confirms[tree.first_children[tree.kinds == WORKING_HYP]] = True
         length = np.where(confirms.take(routing.terminals), table.n, length)

@@ -15,6 +15,7 @@ from hypotree import (
     NodeBudgetExceeded,
     build_tree,
     get_measure,
+    select_query,
 )
 import hypotree.builder as builder
 from hypotree.builder import TERMINAL, WORKING_ATTR, WORKING_HYP
@@ -67,12 +68,14 @@ class TestGoldens:
         tree = build_tree(t0, 2, "me")
         assert tree.serialize() == T0_K2
         assert tree.node_count == 13
-        assert tree.hypotheses == [(0, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert [tree.query(v).hypothesis.values for v in (0, 3, 4)] == [
+            (0, 0, 0), (0, 1, 0), (0, 0, 1)
+        ]
         assert isinstance(tree.query(0), HypothesisQuery)
         # hypothesis-holds child of the root is the matching base row
-        assert tree.n_rows_at(1) == 1 and tree.decision(1) == 1
+        assert tree.path_row_counts[1] == 1 and tree.decision(1) == 1
         # unrealized hypothesis branch: empty terminal labeled 0
-        assert tree.n_rows_at(5) == 0 and tree.decision(5) == 0
+        assert tree.path_row_counts[5] == 0 and tree.decision(5) == 0
 
     def test_xor_attribute_tree(self, xor):
         tree = build_tree(xor, 1, "me")
@@ -82,14 +85,14 @@ class TestGoldens:
         one = DecisionTable(("a",), np.array([(0,)]), np.array([7]))
         tree = build_tree(one, 3, "ent")
         assert tree.serialize() == "0 T 7\n"
-        assert tree.n_rows_at(0) == 1
+        assert tree.path_row_counts[0] == 1
 
         same = DecisionTable(
             ("a",), np.array([(0,), (1,), (2,)]), np.array([4, 4, 4])
         )
         tree = build_tree(same, 2, "gini")
         assert tree.serialize() == "0 T 4\n"
-        assert tree.n_rows_at(0) == 3
+        assert tree.path_row_counts[0] == 3
 
 
 class TestStructure:
@@ -300,7 +303,6 @@ class TestExpansionPaths:
             got = _build(table, tree_type, measure, BATCHED, monkeypatch, limit=ref.node_count)
             assert got.serialize() == ref.serialize()
             assert np.array_equal(got.path_row_counts, ref.path_row_counts)
-            assert got.hypotheses == ref.hypotheses
             assert got._hyp_codes == ref._hyp_codes
             for budget in range(1, ref.node_count, max(1, ref.node_count // 7)):
                 assert _build(table, tree_type, measure, BATCHED, monkeypatch, budget) \
@@ -356,3 +358,33 @@ class TestSerialize:
             assert tree.serialize() == oracles.oracle_serialize(tree)
             sizes.append(tree.node_count)
         assert min(sizes) == 1 and max(sizes) >= 100  # one terminal; multi-digit ids
+
+
+class TestHypothesisValues:
+    """Hypotheses are kept as value codes; every reader turns them into the same values."""
+
+    @pytest.mark.parametrize("wide_from", [PER_NODE, BATCHED], ids=["per-node", "batched"])
+    @pytest.mark.parametrize("measure", ["me", "ent"])
+    @pytest.mark.parametrize("tree_type", [2, 3, 4, 5])
+    def test_readers_agree_on_gapped_alphabets(self, tree_type, measure, wide_from,
+                                               monkeypatch):
+        n_hypotheses = 0
+        for table in serialize_tables():
+            tree = _build(table, tree_type, measure, wide_from, monkeypatch)
+            lines = tree.serialize().splitlines()
+            codes = np.frombuffer(tree._hyp_codes, tree._hyp_codes.typecode)
+            codes = codes.reshape(-1, table.n)
+            for v in np.flatnonzero(tree.kinds == WORKING_HYP).tolist():
+                values = tree.query(v).hypothesis.values
+                assert tree.child_edges(v)[0][2] == values
+                row = codes[tree.labels[v]]
+                assert tuple(vs[c] for vs, c in zip(table.value_sets, row)) == values
+                h = "H[" + ",".join(
+                    f"{name}={x}" for name, x in zip(table.attribute_names, values)
+                ) + "]"
+                assert lines[v].startswith(f"{v} W {h} [{h}]:")
+                n_hypotheses += 1
+            if tree.node_count > 1:
+                chosen, _ = select_query(table.all_rows(), get_measure(measure), tree_type)
+                assert chosen == tree.query(0)
+        assert n_hypotheses > 0

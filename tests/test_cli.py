@@ -129,12 +129,12 @@ class TestValidate:
         assert out == "ok: structural checks and 4-row simulation passed\n"
 
     def test_simulation_bound(self, capsys, t0_csv):
-        code, out, _ = run(
+        # The simulation always runs; there is no bound to set.
+        code, _, _ = run(
             capsys, "validate", "--table", str(t0_csv), "--type", "1",
             "--simulation-bound", "0",
         )
-        assert code == 0
-        assert "simulation skipped" in out
+        assert code == 1
 
 
 class TestExperiment:

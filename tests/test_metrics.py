@@ -183,19 +183,11 @@ class TestValidate:
             tree = build_tree(table, tree_type, "r")
             report = validate(table, tree)
             assert report.ok
-            assert report.simulation_ran
             assert report.rows_simulated == table.n_rows
 
     def test_render_ok(self, t0):
         report = validate(t0, build_tree(t0, 1, "me"))
         assert report.render() == "ok: structural checks and 4-row simulation passed"
-
-    def test_simulation_bound_zero_skips(self, t0):
-        report = validate(t0, build_tree(t0, 1, "me"), simulation_bound=0)
-        assert report.ok
-        assert not report.simulation_ran
-        assert report.rows_simulated == 0
-        assert "simulation skipped" in report.render()
 
     def test_detects_tampered_terminal_label(self, t0):
         tree = build_tree(t0, 1, "me")

@@ -20,7 +20,6 @@ from hypotree import (
     is_admissible_attribute,
     is_admissible_hypothesis,
     is_proper,
-    render_hypothesis,
     select_query,
 )
 
@@ -166,12 +165,6 @@ class TestImpurityAndSelection:
     def test_bad_tree_type_rejected(self, t0):
         with pytest.raises(ConstraintError):
             select_query(t0.all_rows(), ME, 6)
-
-    def test_render(self, t0):
-        assert (
-            render_hypothesis(Hypothesis((0, 1, 0)), t0.attribute_names)
-            == "H[f1=0,f2=1,f3=0]"
-        )
 
 
 def random_table(rng: random.Random) -> DecisionTable:

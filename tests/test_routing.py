@@ -106,40 +106,3 @@ class TestViolationOrder:
             "row 2: a computation reaches terminal 2 deciding 5, expected 2",
             "row 3: a computation reaches terminal 2 deciding 5, expected 2",
         ]
-
-    def test_simulation_skipped_past_the_bound_keeps_structural_lines(self, t0):
-        tree = build_tree(t0, 2, "me")
-        tree._label[2] = 5
-        report = validate(t0, tree, simulation_bound=1)
-        assert not report.simulation_ran
-        assert report.violations == [
-            "node 2: terminal labeled 5, but its subtable decides 2",
-        ]
-
-
-class TestSimulationBound:
-    @pytest.mark.parametrize("tree_type", [2, 3, 5])
-    def test_bound_equal_to_the_widest_row_runs(self, t0, tree_type):
-        tree = build_tree(t0, tree_type, "me")
-        widest = max(
-            len(oracles.truthful_terminals(t0, tree, t0.values[r]))
-            for r in range(t0.n_rows)
-        )
-        report = validate(t0, tree, simulation_bound=widest)
-        assert report.simulation_ran
-        assert report.rows_simulated == t0.n_rows
-        report = validate(t0, tree, simulation_bound=widest - 1)
-        assert report.ok
-        assert not report.simulation_ran
-        assert report.rows_simulated == 0
-
-    def test_bound_on_a_larger_tree(self):
-        table = ttt_centre_blank()
-        tree = build_tree(table, 2, "me")
-        widest = max(
-            len(oracles.truthful_terminals(table, tree, table.values[r]))
-            for r in range(table.n_rows)
-        )
-        assert widest > 1
-        assert validate(table, tree, simulation_bound=widest).simulation_ran
-        assert not validate(table, tree, simulation_bound=widest - 1).simulation_ran
