@@ -1,13 +1,17 @@
 """Greedy construction of decision trees with attribute and hypothesis queries.
 
-Nodes live in a flat arena of parallel arrays, so trees in the tens of
-millions of nodes fit in a few hundred megabytes and no recursion happens
-anywhere.  Construction is breadth-first, one level at a time; children of
-a node occupy consecutive ids, and a child's id always exceeds its parent's,
-which lets the metrics run as single forward passes.  The arena is in level
+Nodes live in a flat arena of four parallel arrays (kind, label, first
+child and path row count, 25 bytes a node), so trees in the tens of millions
+of nodes fit in a few hundred megabytes and no recursion happens anywhere.
+Construction is breadth-first, one level at a time; children of a node
+occupy consecutive ids, and a child's id always exceeds its parent's, which
+lets the metrics run as single forward passes.  The arena is in level
 order: every node of a level precedes every node of the next, so the last
 node lies on the deepest level, and working nodes' first children ascend
-with their ids.
+with their ids.  A working node's child count is fixed by its query and is
+not stored: an attribute node has one child per base-table value of its
+attribute, a hypothesis node the holds child plus one counterexample per
+other (attribute, value), ``1 + total_branches - n``.
 
 A node is either Terminal (a decision) or Working (a query).  Children are
 created for every possible answer of the chosen query against the base
@@ -46,9 +50,9 @@ only where a caller sees them: ``DecisionTree.query``, ``child_edges`` and
 the stored codes, never through the per-node accessors: a terminal's line
 straight from its id and label, a working node's line by filling a ``%d``
 template with its id and the consecutive range of its children's ids.
-Within one call a template is made once per queried attribute and once per
-distinct hypothesis, whose ``H[...]`` text serves both its query and its
-holds edge; nothing is kept between calls.
+Within one call a template, with its child count, is made once per queried
+attribute and once per distinct hypothesis, whose ``H[...]`` text serves
+both its query and its holds edge; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -177,14 +181,16 @@ def _hypothesis_template(names, value_sets, hypothesis) -> str:
 class DecisionTree:
     """An arena-backed tree over a base table.
 
-    Read-only numpy views of the arena are exposed for the metrics; per-node
-    accessors materialize query and edge objects on demand.  Node 0 is the
-    root.  ``path_row_counts[i]`` is the number of base-table rows matching
-    the equations on the path to node ``i``.  Hypotheses are kept only as
-    value codes, one row of ``base.n`` codes each, which the routing pass
-    reads as they are; a hypothesis node's label is its row.  ``query``,
-    ``child_edges`` and ``serialize`` turn the codes into values through
-    ``base.value_sets``.
+    Read-only numpy views of the arena's four columns are exposed for the
+    metrics; per-node accessors materialize query and edge objects on
+    demand.  Node 0 is the root.  ``path_row_counts[i]`` is the number of
+    base-table rows matching the equations on the path to node ``i``.  A
+    working node's child count comes from its query (see the module
+    docstring); ``children`` and ``serialize`` work it out when called.
+    Hypotheses are kept only as value codes, one row of ``base.n`` codes
+    each, which the routing pass reads as they are; a hypothesis node's
+    label is its row.  ``query``, ``child_edges`` and ``serialize`` turn the
+    codes into values through ``base.value_sets``.
     """
 
     __slots__ = (
@@ -194,7 +200,6 @@ class DecisionTree:
         "_kind",
         "_label",
         "_first",
-        "_nchild",
         "_nrows",
         "_hyp_codes",
         "_views",
@@ -202,14 +207,13 @@ class DecisionTree:
     )
 
     def __init__(self, base, tree_type, measure_name,
-                 kind, label, first, nchild, nrows, hyp_codes):
+                 kind, label, first, nrows, hyp_codes):
         self.base: DecisionTable = base
         self.tree_type: int = tree_type
         self.measure_name: str = measure_name
         self._kind = kind
         self._label = label
         self._first = first
-        self._nchild = nchild
         self._nrows = nrows
         self._hyp_codes = hyp_codes
         self._views: tuple[np.ndarray, ...] | None = None
@@ -227,7 +231,6 @@ class DecisionTree:
                 self._as_np(self._label, np.int64),
                 self._as_np(self._nrows, np.int64),
                 self._as_np(self._first, np.int64),
-                self._as_np(self._nchild, np.int32),
             )
         return self._views
 
@@ -247,10 +250,6 @@ class DecisionTree:
     @property
     def first_children(self) -> np.ndarray:
         return self._arena()[3]
-
-    @property
-    def child_counts(self) -> np.ndarray:
-        return self._arena()[4]
 
     @staticmethod
     def _as_np(arr: array, dtype) -> np.ndarray:
@@ -284,7 +283,10 @@ class DecisionTree:
         first = self._first[node]
         if first < 0:
             return range(0)
-        return range(first, first + self._nchild[node])
+        base = self.base
+        if self._kind[node] == WORKING_ATTR:
+            return range(first, first + len(base.value_sets[self._label[node]]))
+        return range(first, first + 1 + base.total_branches - base.n)
 
     def child_edges(self, node: int) -> list[tuple[int, int | None, object]]:
         """Children with lean edge descriptors.
@@ -329,7 +331,7 @@ class DecisionTree:
         ``_ROUTE_CHUNK_CELLS`` (row, attribute) cells, comparing codes in
         the narrow dtype the hypotheses are stored in.
         """
-        kinds, label, _, first, _ = self._arena()
+        kinds, label, _, first = self._arena()
         codes = self.base.codes
         n_rows = len(codes)
         rows = np.arange(n_rows)
@@ -405,7 +407,7 @@ class DecisionTree:
                 1 + base.offsets[:-1] - np.arange(base.n),
             )
         codes, hyp_codes, skip = self._hyp_arrays
-        _, label, _, first, _ = self._arena()
+        _, label, _, first = self._arena()
         chunk = max(1, _ROUTE_CHUNK_CELLS // codes.shape[1])
         for lo in range(0, len(rows), chunk):
             r, v = rows[lo : lo + chunk], nodes[lo : lo + chunk]
@@ -439,12 +441,12 @@ class DecisionTree:
         the templates of working nodes' lines live only for the call.
         """
         base = self.base
-        first, nchild = self._first, self._nchild
+        first = self._first
         # Hypothesis ``at``'s codes are one slice of these bytes, which keys its template.
         raw = self._hyp_codes.tobytes()
         width = base.n * self._hyp_codes.itemsize
-        attribute_lines: dict[int, str] = {}
-        hypothesis_lines: dict[bytes, str] = {}
+        attribute_lines: dict[int, tuple[str, int]] = {}
+        hypothesis_lines: dict[bytes, tuple[str, int]] = {}
         names = None
         lines = []
         for node, kind, at in zip(range(len(self._kind)), self._kind, self._label):
@@ -452,23 +454,27 @@ class DecisionTree:
                 lines.append(f"{node} T {at}")
                 continue
             if kind == WORKING_ATTR:
-                line = attribute_lines.get(at)
-                if line is None:
+                made = attribute_lines.get(at)
+                if made is None:
                     name = base.attribute_names[at].replace("%", "%%")
-                    line = f"%d W {name}" + "".join(
-                        [f" [{name}={v}]:%d" for v in base.value_sets[at]]
+                    values = base.value_sets[at]
+                    made = attribute_lines[at] = (
+                        f"%d W {name}" + "".join([f" [{name}={v}]:%d" for v in values]),
+                        len(values),
                     )
-                    attribute_lines[at] = line
             else:
                 key = raw[at * width : at * width + width]
-                line = hypothesis_lines.get(key)
-                if line is None:
+                made = hypothesis_lines.get(key)
+                if made is None:
                     if names is None:
                         names = [name.replace("%", "%%") for name in base.attribute_names]
-                    line = _hypothesis_template(names, base.value_sets, self._hypothesis(at))
-                    hypothesis_lines[key] = line
+                    made = hypothesis_lines[key] = (
+                        _hypothesis_template(names, base.value_sets, self._hypothesis(at)),
+                        1 + base.total_branches - base.n,
+                    )
+            line, count = made
             child = first[node]
-            lines.append(line % (node, *range(child, child + nchild[node])))
+            lines.append(line % (node, *range(child, child + count)))
         lines.append("")
         return "\n".join(lines)
 
@@ -489,7 +495,6 @@ class _Builder:
         self.kind = array("b")
         self.label = array("q")
         self.first = array("q")
-        self.nchild = array("i")
         self.nrows = array("q")
         self.hyp_codes = array(_code_typecode(table))
         self.pending: list[tuple[int, np.ndarray]] = []
@@ -532,7 +537,6 @@ class _Builder:
             self.kind,
             self.label,
             self.first,
-            self.nchild,
             self.nrows,
             self.hyp_codes,
         )
@@ -541,7 +545,6 @@ class _Builder:
         self.kind.append(TERMINAL)
         self.label.append(decision)
         self.first.append(-1)
-        self.nchild.append(0)
         self.nrows.append(n_rows)
 
     def _append_pending(self, rows: np.ndarray) -> int:
@@ -549,7 +552,6 @@ class _Builder:
         self.kind.append(_PENDING)
         self.label.append(-1)
         self.first.append(-1)
-        self.nchild.append(0)
         self.nrows.append(len(rows))
         self.pending.append((node, rows))
         return node
@@ -565,7 +567,7 @@ class _Builder:
             self.kind[node] = WORKING_ATTR
             self.label[node] = choice
             branches = [(choice, pos) for pos in range(n_children)]
-            hyp_child = None
+            holds_row = None
         else:
             n_children = 1 + table.total_branches - table.n
             self.kind[node] = WORKING_HYP
@@ -577,26 +579,21 @@ class _Builder:
                 for pos in range(len(table.value_sets[i]))
                 if pos != own
             ]
-            # Values only to look up the one row equal to the hypothesis.
-            hyp_child = tuple([vs[c] for vs, c in zip(table.value_sets, choice)])
+            # The base row equal to the hypothesis, or -1, which no subtable holds.
+            holds_row = table._row_index.get(choice, -1)
 
         if len(self.kind) + n_children > self.budget:
             raise NodeBudgetExceeded(self.budget, len(self.kind))
         self.first[node] = len(self.kind)
-        self.nchild[node] = n_children
 
         offsets = self.table.offsets
         dec_values = table.decision_values
         cols: dict[int, np.ndarray] = {}
 
-        if hyp_child is not None:
-            ridx = table.row_lookup.get(hyp_child)
-            if ridx is not None:
-                at = int(np.searchsorted(rows, ridx))
-                if at < len(rows) and rows[at] == ridx:
-                    self._append_terminal(int(table.decisions[ridx]), 1)
-                else:
-                    self._append_terminal(0, 0)
+        if holds_row is not None:
+            at = int(np.searchsorted(rows, holds_row))
+            if at < len(rows) and rows[at] == holds_row:
+                self._append_terminal(int(table.decisions[holds_row]), 1)
             else:
                 self._append_terminal(0, 0)
 
@@ -706,12 +703,11 @@ class _Builder:
 
         flat = exists.ravel()
         child_kind = kind.ravel()[flat]
-        self._write_parents(nodes, use_hyp, attr, hcodes, ends - n_children, n_children)
+        self._write_parents(nodes, use_hyp, attr, hcodes, ends - n_children)
         self.kind.frombytes(child_kind.tobytes())
         self.label.frombytes(label.ravel()[flat].astype(np.int64).tobytes())
         self.nrows.frombytes(nrows.ravel()[flat].astype(np.int64).tobytes())
         self.first.frombytes(np.full(len(child_kind), -1, np.int64).tobytes())
-        self.nchild.frombytes(np.zeros(len(child_kind), np.int32).tobytes())
 
         # Rows go down as in ``DecisionTree.route_rows``: to the branch of
         # the chosen attribute, or to every branch where they differ from
@@ -813,7 +809,7 @@ class _Builder:
         bit = np.frexp((low & (~low + np.uint64(1))).astype(np.float64))[1] - 1
         return value, self.table.codes[64 * word + bit]
 
-    def _write_parents(self, nodes, use_hyp, attr, hcodes, first, n_children) -> None:
+    def _write_parents(self, nodes, use_hyp, attr, hcodes, first) -> None:
         table = self.table
         hyp_at = np.flatnonzero(use_hyp)
         label = attr.copy()
@@ -824,7 +820,6 @@ class _Builder:
             (self.kind, np.where(use_hyp, WORKING_HYP, WORKING_ATTR)),
             (self.label, label),
             (self.first, first),
-            (self.nchild, n_children),
         ):
             view = np.frombuffer(arena, dtype=arena.typecode)
             view[nodes] = values

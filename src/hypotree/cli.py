@@ -18,13 +18,13 @@ from pathlib import Path
 
 from .table import DecisionTable
 from .uncertainty import MEASURES
-from .builder import DEFAULT_NODE_BUDGET, NodeBudgetExceeded, build_tree
+from .builder import DEFAULT_NODE_BUDGET, DecisionTree, NodeBudgetExceeded, build_tree
 from .metrics import validate
 from .rules import derive_rules, render_rule, rules_to_csv
 from .harness import (
-    METRICS,
     DataError,
     ExperimentSpec,
+    _check_metrics,
     _format_value,
     _metric_values,
     aggregate_bool,
@@ -98,6 +98,14 @@ def _single_table(token: str, decision_column: str | None) -> DecisionTable:
             "exactly one (use count=1 for Boolean suites)"
         )
     return loaded[0][1]
+
+
+def _single_tree(args: argparse.Namespace) -> tuple[DecisionTable, DecisionTree]:
+    """The table of a single-table command and the tree it asks for."""
+    if args.budget < 1:
+        raise UsageError("node budget must be positive")
+    table = _single_table(args.table, args.decision_column)
+    return table, build_tree(table, args.type, args.measure, node_budget=args.budget)
 
 
 def _add_table_args(parser: argparse.ArgumentParser) -> None:
@@ -182,26 +190,24 @@ def _emit(text: str, out: str | None) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "build":
-        table = _single_table(args.table, args.decision_column)
-        tree = build_tree(table, args.type, args.measure, node_budget=args.budget)
+        _, tree = _single_tree(args)
         _emit(tree.serialize(), args.out)
         return 0
 
     if args.command == "metrics":
         wanted = _parse_list(args.show)
-        for metric in wanted:
-            if metric not in METRICS:
-                raise UsageError(f"unknown metric {metric!r}; options: h, L, l, c")
-        table = _single_table(args.table, args.decision_column)
-        tree = build_tree(table, args.type, args.measure, node_budget=args.budget)
+        try:
+            _check_metrics(wanted)
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        table, tree = _single_tree(args)
         values = _metric_values(table, tree, wanted)
         for metric in wanted:
             print(f"{metric}={_format_value(metric, values[metric])}")
         return 0
 
     if args.command == "rules":
-        table = _single_table(args.table, args.decision_column)
-        tree = build_tree(table, args.type, args.measure, node_budget=args.budget)
+        table, tree = _single_tree(args)
         ruleset = derive_rules(table, tree)
         if args.csv is not None:
             text = rules_to_csv(ruleset.rules, table.attribute_names)
@@ -213,8 +219,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "validate":
-        table = _single_table(args.table, args.decision_column)
-        tree = build_tree(table, args.type, args.measure, node_budget=args.budget)
+        table, tree = _single_tree(args)
         report = validate(table, tree)
         print(report.render())
         return 0 if report.ok else 2

@@ -219,6 +219,17 @@ def load_source(token: str) -> list[tuple[str, DecisionTable]]:
     ]
 
 
+def _check_metrics(metrics: Sequence[str]) -> None:
+    """Raise ValueError unless ``metrics`` names distinct known metrics."""
+    if not metrics:
+        raise ValueError("no metrics given")
+    for metric in metrics:
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}; options: h, L, l, c")
+    if len(set(metrics)) != len(metrics):
+        raise ValueError("duplicate metric")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """What to run: sources x measures x tree types, and which metrics."""
@@ -248,13 +259,7 @@ class ExperimentSpec:
                 raise ValueError(f"tree type must be 1..5, got {k}")
         if len(set(self.tree_types)) != len(self.tree_types):
             raise ValueError("duplicate tree type")
-        if not self.metrics:
-            raise ValueError("no metrics given")
-        for metric in self.metrics:
-            if metric not in METRICS:
-                raise ValueError(f"unknown metric {metric!r}; options: h, L, l, c")
-        if len(set(self.metrics)) != len(self.metrics):
-            raise ValueError("duplicate metric")
+        _check_metrics(self.metrics)
         if self.node_budget < 1:
             raise ValueError("node budget must be positive")
         if self.workers < 1:

@@ -112,7 +112,8 @@ def answers(query: Query, base: DecisionTable) -> list[Answer]:
 def is_proper(h: Hypothesis, base: DecisionTable) -> bool:
     """True when the hypothesis vector is a row of the base table."""
     _check_hypothesis(h, base)
-    return tuple(h.values) in base.row_lookup
+    codes = tuple([vs.index(v) for vs, v in zip(base.value_sets, h.values)])
+    return codes in base._row_index
 
 
 def is_admissible_attribute(attribute: int, theta: SubtableRef) -> bool:
@@ -145,14 +146,13 @@ class BranchStats:
     numpy dispatch at this size.
     """
 
-    __slots__ = ("u", "n", "mx", "am", "n_rows")
+    __slots__ = ("u", "n", "mx", "am")
 
-    def __init__(self, u, n, mx, am, n_rows: int):
+    def __init__(self, u, n, mx, am):
         self.u = u
         self.n = n
         self.mx = mx
         self.am = am
-        self.n_rows = n_rows
 
 
 def branch_stats(
@@ -169,75 +169,54 @@ def branch_stats(
         nvec.tolist(),
         cont.max(axis=1, initial=0).tolist(),
         cont.argmax(axis=1).tolist(),
-        int(rows.size),
     )
 
 
-class _AttrSummary:
-    """Max and second-max branch uncertainty per attribute, plus constancy."""
+def _summarize(table: DecisionTable, stats: BranchStats) -> tuple[list, ...]:
+    """Per-attribute lists ``(max1, max2, best_pos, seen, pinned)`` in one pass.
 
-    __slots__ = ("max1", "max2", "best_pos", "const_pos", "m")
-
-    def __init__(self, max1, max2, best_pos, const_pos, m):
-        self.max1 = max1
-        self.max2 = max2
-        self.best_pos = best_pos
-        self.const_pos = const_pos
-        self.m = m
-
-
-def _summarize(table: DecisionTable, stats: BranchStats) -> list[_AttrSummary]:
-    out = []
-    offsets = table.offsets
+    ``max1``/``max2`` are the largest and second-largest branch uncertainty
+    (``max2`` is 0.0 for a single-valued attribute, which yields no
+    counterexamples), ``best_pos`` the code of the first largest, ``seen``
+    the number of nonempty branches and ``pinned`` the code of the only
+    nonempty branch of an attribute constant on the subtable, else -1.
+    """
     u = stats.u
     nvec = stats.n
-    for i in range(table.n):
-        a = int(offsets[i])
-        b = int(offsets[i + 1])
-        best = -1.0
-        second = -1.0
-        best_pos = 0
-        nonzero = 0
-        const_pos = -1
+    max1, max2, best_pos, seen, pinned = [], [], [], [], []
+    offsets = table.offsets.tolist()
+    for a, b in zip(offsets, offsets[1:]):
+        best = second = -1.0
+        top = 0
+        nonempty = 0
+        pin = -1
         for pos in range(a, b):
             if nvec[pos] > 0:
-                nonzero += 1
-                const_pos = pos - a
+                nonempty += 1
+                pin = pos - a
             val = u[pos]
             if val > best:
                 second = best
                 best = val
-                best_pos = pos - a
+                top = pos - a
             elif val > second:
                 second = val
-        if b - a == 1:
-            second = 0.0  # a single-valued attribute yields no counterexamples
-        if nonzero != 1:
-            const_pos = -1
-        out.append(_AttrSummary(best, second, best_pos, const_pos, b - a))
-    return out
+        max1.append(best)
+        max2.append(0.0 if b - a == 1 else second)
+        best_pos.append(top)
+        seen.append(nonempty)
+        pinned.append(pin if nonempty == 1 else -1)
+    return max1, max2, best_pos, seen, pinned
 
 
-def _best_attribute_from(table: DecisionTable, stats: BranchStats) -> tuple[int, float]:
+def _best_attribute_from(summary: tuple[list, ...]) -> tuple[int, float]:
     """Admissible attribute with minimum impurity; ties take the lowest index."""
-    offsets = table.offsets
-    nvec = stats.n
-    u = stats.u
+    max1, _, _, seen, _ = summary
     best_i = -1
     best = float("inf")
-    for i in range(table.n):
-        a = int(offsets[i])
-        b = int(offsets[i + 1])
-        nonzero = 0
-        imp = 0.0
-        for pos in range(a, b):
-            if nvec[pos] > 0:
-                nonzero += 1
-            if u[pos] > imp:
-                imp = u[pos]
-        if nonzero < 2:
-            continue  # constant on the subtable: not admissible
-        if imp < best:
+    for i, (imp, nonempty) in enumerate(zip(max1, seen)):
+        # An attribute constant on the subtable is not admissible.
+        if nonempty >= 2 and imp < best:
             best = imp
             best_i = i
     if best_i < 0:
@@ -245,7 +224,7 @@ def _best_attribute_from(table: DecisionTable, stats: BranchStats) -> tuple[int,
     return best_i, best
 
 
-def _best_hypothesis_from(summaries: list[_AttrSummary]) -> tuple[tuple[int, ...], float]:
+def _best_hypothesis_from(summary: tuple[list, ...]) -> tuple[tuple[int, ...], float]:
     """Value codes of the admissible hypothesis with minimum impurity.
 
     Among all minimizers, returns the canonical one: attributes whose largest
@@ -255,41 +234,36 @@ def _best_hypothesis_from(summaries: list[_AttrSummary]) -> tuple[tuple[int, ...
     value grid this is exactly the first minimizing row in table order, which
     keeps hypothesis and proper-hypothesis selection aligned there.
     """
+    max1, max2, best_pos, _, pinned = summary
     # Minimum achievable impurity: each attribute contributes at least its
     # second-largest branch uncertainty, so the optimum is their maximum.
-    v = 0.0
-    for s in summaries:
-        if s.max2 > v:
-            v = s.max2
+    v = max(max2)
     codes = []
-    for s in summaries:
-        if s.max1 > v:
+    for top, pos, pin in zip(max1, best_pos, pinned):
+        if top > v:
             # Forced: skipping this branch is the only way to stay at v, and
             # the argmax is unique (a tie would push max2 above v).
-            codes.append(s.best_pos)
-        elif s.const_pos >= 0:
-            codes.append(s.const_pos)  # pinned by admissibility
+            codes.append(pos)
+        elif pin >= 0:
+            codes.append(pin)  # pinned by admissibility
         else:
             codes.append(0)  # free: smallest value, canonical minimizer
     return tuple(codes), v
 
 
 def _best_proper_from(
-    table: DecisionTable, summaries: list[_AttrSummary]
+    table: DecisionTable, summary: tuple[list, ...]
 ) -> tuple[tuple[int, ...], float]:
     """Value codes of the minimum-impurity admissible hypothesis among base-table rows.
 
     Scans rows in table order; the first row achieving the minimum wins.
     """
-    n = table.n
-    max1 = np.fromiter((s.max1 for s in summaries), np.float64, n)
-    max2 = np.fromiter((s.max2 for s in summaries), np.float64, n)
-    best_pos = np.fromiter((s.best_pos for s in summaries), np.int64, n)
-    covered = table.codes == best_pos[None, :]
-    imp = np.where(covered, max2[None, :], max1[None, :]).max(axis=1)
-    for i, s in enumerate(summaries):
-        if s.const_pos >= 0:
-            imp = np.where(table.codes[:, i] == s.const_pos, imp, np.inf)
+    max1, max2, best_pos, _, pinned = summary
+    covered = table.codes == np.array(best_pos)[None, :]
+    imp = np.where(covered, np.array(max2)[None, :], np.array(max1)[None, :]).max(axis=1)
+    for i, pin in enumerate(pinned):
+        if pin >= 0:
+            imp = np.where(table.codes[:, i] == pin, imp, np.inf)
     row = int(np.argmin(imp))
     value = float(imp[row])
     if not np.isfinite(value):
@@ -307,18 +281,18 @@ def select_query_from_stats(
     """
     if tree_type not in TREE_TYPES:
         raise ConstraintError(f"tree type must be one of {TREE_TYPES}, got {tree_type}")
+    summary = _summarize(table, stats)
     if tree_type == 1:
-        return _best_attribute_from(table, stats)
-    summaries = _summarize(table, stats)
+        return _best_attribute_from(summary)
     if tree_type == 2:
-        return _best_hypothesis_from(summaries)
+        return _best_hypothesis_from(summary)
     if tree_type == 4:
-        return _best_proper_from(table, summaries)
-    attr, attr_imp = _best_attribute_from(table, stats)
+        return _best_proper_from(table, summary)
+    attr, attr_imp = _best_attribute_from(summary)
     if tree_type == 3:
-        codes, hyp_imp = _best_hypothesis_from(summaries)
+        codes, hyp_imp = _best_hypothesis_from(summary)
     else:
-        codes, hyp_imp = _best_proper_from(table, summaries)
+        codes, hyp_imp = _best_proper_from(table, summary)
     if attr_imp <= hyp_imp:  # equal impurity goes to the attribute
         return attr, attr_imp
     return codes, hyp_imp

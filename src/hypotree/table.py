@@ -97,7 +97,11 @@ class DecisionTable:
 
     Internally every column is also kept in dense code form (positions within
     the sorted per-column value set); counting and partitioning work on codes
-    so arbitrary value alphabets cost nothing extra.
+    so arbitrary value alphabets cost nothing extra.  One private row index,
+    built at construction, maps each row's tuple of codes to its row number:
+    a table whose index has fewer entries than rows repeats a row and is
+    rejected, and ``is_proper`` and the builder find a hypothesis's row by
+    looking up its codes.
     """
 
     __slots__ = (
@@ -112,7 +116,7 @@ class DecisionTable:
         "dec_codes",
         "offsets",
         "offset_codes",
-        "_row_lookup",
+        "_row_index",
     )
 
     def __init__(
@@ -142,8 +146,6 @@ class DecisionTable:
             raise ConstraintError("attribute values must be nonnegative")
         if decs.size and int(decs.min()) < 0:
             raise ConstraintError("decisions must be nonnegative")
-        if vals.shape[0] and np.unique(vals, axis=0).shape[0] != vals.shape[0]:
-            raise ConstraintError("attribute vectors must be pairwise distinct")
 
         self.attribute_names = names
         self.n = len(names)
@@ -161,6 +163,11 @@ class DecisionTable:
         self.codes = (
             np.stack(code_cols, axis=1) if self.n_rows else np.zeros((0, self.n), np.int64)
         )
+        self._row_index: dict[tuple[int, ...], int] = dict(
+            zip(zip(*self.codes.T.tolist()), range(self.n_rows))
+        )
+        if len(self._row_index) != self.n_rows:
+            raise ConstraintError("attribute vectors must be pairwise distinct")
 
         dec_uniq = np.unique(decs)
         self.decision_values = dec_uniq
@@ -173,7 +180,6 @@ class DecisionTable:
         for arr in (self.values, self.decisions, self.codes, self.dec_codes,
                     self.offsets, self.offset_codes, self.decision_values):
             arr.flags.writeable = False
-        self._row_lookup: dict[tuple[int, ...], int] | None = None
 
     @property
     def n_decision_values(self) -> int:
@@ -183,14 +189,6 @@ class DecisionTable:
     def total_branches(self) -> int:
         """Number of (attribute, value) pairs over the whole table."""
         return int(self.offsets[-1])
-
-    @property
-    def row_lookup(self) -> dict[tuple[int, ...], int]:
-        if self._row_lookup is None:
-            self._row_lookup = {
-                tuple(row): i for i, row in enumerate(self.values.tolist())
-            }
-        return self._row_lookup
 
     def value_set(self, attribute: int) -> tuple[int, ...]:
         self._check_attribute(attribute)

@@ -124,13 +124,12 @@ class TestStructure:
         assert tree.kinds.dtype == np.int8
         assert tree.path_row_counts.dtype == np.int64
         assert tree.first_children.dtype == np.int64
-        assert tree.child_counts.dtype == np.int32
         assert not tree.kinds.flags.writeable
         assert tree.kinds[0] == WORKING_HYP
         assert tree.kinds[2] == TERMINAL
         assert build_tree(t0, 1, "me").kinds[0] == WORKING_ATTR
         assert tree.path_row_counts[0] == 4
-        assert tree.child_counts[0] == 4
+        assert len(tree.children(0)) == 4
         assert tree.first_children[1] == -1
 
     def test_accessor_errors(self, t0):
@@ -384,6 +383,10 @@ class TestHypothesisValues:
                 ) + "]"
                 assert lines[v].startswith(f"{v} W {h} [{h}]:")
                 n_hypotheses += 1
+            # Child counts are derived from each query; every reader agrees.
+            for v in np.flatnonzero(tree.kinds != TERMINAL).tolist():
+                n = len(tree.children(v))
+                assert n == len(tree.child_edges(v)) == lines[v].count("]:")
             if tree.node_count > 1:
                 chosen, _ = select_query(table.all_rows(), get_measure(measure), tree_type)
                 assert chosen == tree.query(0)

@@ -68,12 +68,14 @@ class TestMetrics:
         assert code == 0
         assert out == "h=1\nL=3\nl=1.00\nc=2.00\n"
 
-    def test_unknown_metric(self, capsys, t0_csv):
-        code, _, err = run(
+    @pytest.mark.parametrize("show", ["x", ",", "h,h"])
+    def test_unknown_metric(self, capsys, t0_csv, show):
+        code, out, err = run(
             capsys, "metrics", "--table", str(t0_csv), "--type", "1",
-            "--show", "x",
+            "--show", show,
         )
         assert code == 1
+        assert out == ""
         assert "error:" in err
 
 
@@ -280,6 +282,12 @@ class TestExitCodes:
             "--budget", "2",
         )
         assert code == 3 and "aborted:" in err
+
+    def test_budget_below_one_is_a_usage_error(self, capsys, t0_csv):
+        code, _, err = run(
+            capsys, "build", "--table", str(t0_csv), "--type", "1", "--budget", "0",
+        )
+        assert code == 1 and "error:" in err
 
 
 class TestEntryPoint:

@@ -91,6 +91,11 @@ class TestAdmissibility:
         assert is_proper(Hypothesis((0, 0, 0)), t0)
         assert is_proper(Hypothesis((1, 1, 0)), t0)
         assert not is_proper(Hypothesis((0, 1, 0)), t0)
+        # On a gapped alphabet the row (0, 7) has codes (0, 1), which are
+        # also values of the table but not a row of it.
+        gapped = DecisionTable(("a", "b"), np.array([(0, 7), (1, 1)]), np.array([0, 1]))
+        assert is_proper(Hypothesis((0, 7)), gapped)
+        assert not is_proper(Hypothesis((0, 1)), gapped)
 
     def test_attribute_admissible_iff_nonconstant(self, t0):
         sub = t0.subtable(EquationSystem([(0, 0)]))

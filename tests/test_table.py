@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypotree import ConstraintError, DecisionTable, EquationSystem
+from hypotree import ConstraintError, DecisionTable, EquationSystem, Hypothesis, is_proper
 
 
 class TestEquationSystem:
@@ -52,7 +52,7 @@ class TestConstruction:
         assert t0.total_branches == 6
         assert t0.n_decision_values == 2
         assert t0.row_values(2) == (1, 0, 1)
-        assert t0.row_lookup[(0, 1, 1)] == 1
+        assert is_proper(Hypothesis((0, 1, 1)), t0)
 
     def test_value_sets_ascending_with_gaps(self):
         t = DecisionTable(
@@ -67,6 +67,7 @@ class TestConstruction:
             (("a", "a"), [(0, 1)], [0]),  # duplicate names
             (("a", "b"), [(0, 1)], [0, 1]),  # row/decision length mismatch
             (("a",), [(0,), (0,)], [0, 1]),  # duplicate attribute vectors
+            (("a", "b"), [(5, 0), (2, 7), (5, 0)], [0, 1, 0]),  # apart, gapped alphabet
             (("a",), [(-1,)], [0]),  # negative value
             (("a",), [(0,)], [-1]),  # negative decision
         ],
