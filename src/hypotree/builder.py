@@ -52,7 +52,17 @@ straight from its id and label, a working node's line by filling a ``%d``
 template with its id and the consecutive range of its children's ids.
 Within one call a template, with its child count, is made once per queried
 attribute and once per distinct hypothesis, whose ``H[...]`` text serves
-both its query and its holds edge; nothing is kept between calls.
+both its query and its holds edge; nothing is kept between calls.  Lines are
+made in blocks of ``_SERIALIZE_BLOCK`` ids, each joined into one string
+before the next block starts, so a tree of millions of nodes never holds one
+string object per line.
+
+``DecisionTree.route_rows`` sends every base-table row down all of its
+truthful paths.  A tree does not change after the build, so the pass runs
+once per tree: its ``Routing`` is kept on the tree, read-only, and serves
+``validate``, ``rule_stats`` and ``derive_rules`` alike.  It depends only on
+the kinds, first children, working nodes' labels and hypothesis codes of the
+tree and on the base table's codes.
 """
 
 from __future__ import annotations
@@ -99,6 +109,11 @@ _ROUTE_CHUNK_CELLS = 1 << 18
 # Fewest (row, node) occurrences the routing pass holds back before counting
 # them into the per-node row counts.
 _COUNT_BATCH_ROWS = 1 << 16
+
+# Most nodes whose lines ``DecisionTree.serialize`` holds as separate strings:
+# each block of ids is joined before the next is rendered, so a large tree's
+# text is never held as one string per line.
+_SERIALIZE_BLOCK = 4096
 
 # Levels with at least this many nodes to expand are built in a few NumPy
 # passes over the whole level; narrower ones node by node, which costs less
@@ -190,7 +205,11 @@ class DecisionTree:
     Hypotheses are kept only as value codes, one row of ``base.n`` codes
     each, which the routing pass reads as they are; a hypothesis node's
     label is its row.  ``query``, ``child_edges`` and ``serialize`` turn the
-    codes into values through ``base.value_sets``.
+    codes into values through ``base.value_sets``.  ``route_rows`` computes
+    the tree's ``Routing`` on its first call and keeps it, read-only, for
+    every later one.  It reads neither the terminals' labels nor the
+    recorded row counts, so checks of those against it see their current
+    values.
     """
 
     __slots__ = (
@@ -203,7 +222,7 @@ class DecisionTree:
         "_nrows",
         "_hyp_codes",
         "_views",
-        "_hyp_arrays",
+        "_routing",
     )
 
     def __init__(self, base, tree_type, measure_name,
@@ -217,7 +236,7 @@ class DecisionTree:
         self._nrows = nrows
         self._hyp_codes = hyp_codes
         self._views: tuple[np.ndarray, ...] | None = None
-        self._hyp_arrays: tuple[np.ndarray, ...] | None = None
+        self._routing: Routing | None = None
 
     @property
     def node_count(self) -> int:
@@ -319,6 +338,12 @@ class DecisionTree:
     def route_rows(self) -> Routing:
         """Route every base-table row along all of its truthful paths.
 
+        The pass runs once per tree: its ``Routing`` is kept and returned by
+        every later call, with its four arrays read-only, since callers
+        share them.  It depends only on parts of the tree that do not change
+        after the build: the kinds, the first children, the working nodes'
+        labels, the hypothesis codes and the base table's codes.
+
         The pass moves (row, node) occurrences down one level at a time.  At
         an attribute node a row takes the child of its value.  At a
         hypothesis node a row equal to the hypothesis takes the holds child;
@@ -331,9 +356,27 @@ class DecisionTree:
         ``_ROUTE_CHUNK_CELLS`` (row, attribute) cells, comparing codes in
         the narrow dtype the hypotheses are stored in.
         """
+        if self._routing is None:
+            routing = self._route()
+            for part in routing:
+                part.flags.writeable = False
+            self._routing = routing
+        return self._routing
+
+    def _route(self) -> Routing:
+        """The routing pass itself, as ``route_rows`` describes it."""
         kinds, label, _, first = self._arena()
-        codes = self.base.codes
+        base = self.base
+        codes = base.codes
         n_rows = len(codes)
+        hyp = None
+        if len(self._hyp_codes):  # codes and hypotheses in one narrow dtype
+            typecode = self._hyp_codes.typecode
+            hyp = (
+                codes.astype(typecode),
+                self._as_np(self._hyp_codes, typecode).reshape(-1, base.n),
+                1 + base.offsets[:-1] - np.arange(base.n),
+            )
         rows = np.arange(n_rows)
         nodes = np.zeros(n_rows, dtype=np.int64)
         # Levels' node ids are counted in batches of at least
@@ -373,7 +416,7 @@ class DecisionTree:
                 next_nodes.append(first.take(v) + codes[r, label.take(v)])
             if n_hyp:
                 r, v = _of_kind(kind, WORKING_HYP, n_hyp, rows, nodes)
-                self._expand_hypotheses(r, v, next_rows, next_nodes)
+                self._expand_hypotheses(hyp, r, v, next_rows, next_nodes)
             rows = nodes = kind = r = v = None  # free this level before joining the next
             if len(next_rows) == 1:
                 rows, nodes = next_rows[0], next_nodes[0]
@@ -396,17 +439,13 @@ class DecisionTree:
             node_rows, np.concatenate(ends_rows), np.concatenate(ends_nodes), depths
         )
 
-    def _expand_hypotheses(self, rows, nodes, next_rows, next_nodes) -> None:
-        """Append the child occurrences of (row, hypothesis node) occurrences."""
-        if self._hyp_arrays is None:
-            base = self.base
-            typecode = self._hyp_codes.typecode
-            self._hyp_arrays = (
-                base.codes.astype(typecode),
-                self._as_np(self._hyp_codes, typecode).reshape(-1, base.n),
-                1 + base.offsets[:-1] - np.arange(base.n),
-            )
-        codes, hyp_codes, skip = self._hyp_arrays
+    def _expand_hypotheses(self, hyp, rows, nodes, next_rows, next_nodes) -> None:
+        """Append the child occurrences of (row, hypothesis node) occurrences.
+
+        ``hyp`` is the base codes and the hypotheses in the hypotheses' dtype,
+        and each attribute's ``1 + offsets[i] - i``, made once per pass.
+        """
+        codes, hyp_codes, skip = hyp
         _, label, _, first = self._arena()
         chunk = max(1, _ROUTE_CHUNK_CELLS // codes.shape[1])
         for lo in range(0, len(rows), chunk):
@@ -448,35 +487,39 @@ class DecisionTree:
         attribute_lines: dict[int, tuple[str, int]] = {}
         hypothesis_lines: dict[bytes, tuple[str, int]] = {}
         names = None
-        lines = []
-        for node, kind, at in zip(range(len(self._kind)), self._kind, self._label):
-            if kind == TERMINAL:
-                lines.append(f"{node} T {at}")
-                continue
-            if kind == WORKING_ATTR:
-                made = attribute_lines.get(at)
-                if made is None:
-                    name = base.attribute_names[at].replace("%", "%%")
-                    values = base.value_sets[at]
-                    made = attribute_lines[at] = (
-                        f"%d W {name}" + "".join([f" [{name}={v}]:%d" for v in values]),
-                        len(values),
-                    )
-            else:
-                key = raw[at * width : at * width + width]
-                made = hypothesis_lines.get(key)
-                if made is None:
-                    if names is None:
-                        names = [name.replace("%", "%%") for name in base.attribute_names]
-                    made = hypothesis_lines[key] = (
-                        _hypothesis_template(names, base.value_sets, self._hypothesis(at)),
-                        1 + base.total_branches - base.n,
-                    )
-            line, count = made
-            child = first[node]
-            lines.append(line % (node, *range(child, child + count)))
-        lines.append("")
-        return "\n".join(lines)
+        blocks = []
+        for lo in range(0, len(self._kind), _SERIALIZE_BLOCK):
+            hi = lo + _SERIALIZE_BLOCK
+            lines = []
+            for node, kind, at in zip(range(lo, hi), self._kind[lo:hi], self._label[lo:hi]):
+                if kind == TERMINAL:
+                    lines.append(f"{node} T {at}")
+                    continue
+                if kind == WORKING_ATTR:
+                    made = attribute_lines.get(at)
+                    if made is None:
+                        name = base.attribute_names[at].replace("%", "%%")
+                        values = base.value_sets[at]
+                        made = attribute_lines[at] = (
+                            f"%d W {name}" + "".join([f" [{name}={v}]:%d" for v in values]),
+                            len(values),
+                        )
+                else:
+                    key = raw[at * width : at * width + width]
+                    made = hypothesis_lines.get(key)
+                    if made is None:
+                        if names is None:
+                            names = [name.replace("%", "%%") for name in base.attribute_names]
+                        made = hypothesis_lines[key] = (
+                            _hypothesis_template(names, base.value_sets, self._hypothesis(at)),
+                            1 + base.total_branches - base.n,
+                        )
+                line, count = made
+                child = first[node]
+                lines.append(line % (node, *range(child, child + count)))
+            lines.append("")
+            blocks.append("\n".join(lines))
+        return "".join(blocks)
 
     def __repr__(self) -> str:
         return (

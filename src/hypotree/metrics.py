@@ -12,7 +12,11 @@ to answer.  Validation takes every choice at once: one level-batched routing
 pass (``DecisionTree.route_rows``) sends each row down all of its truthful
 paths, and the same (row, node) occurrences serve as the structural check
 (recomputed subtable sizes, terminal labels) and as the exhaustive truthful
-simulation (the decision at every terminal a row reaches).
+simulation (the decision at every terminal a row reaches).  The routing is
+computed once per tree and kept, read-only, so ``validate`` after
+``rule_stats`` or ``derive_rules`` reuses it.  It depends only on the tree's
+shape, its queries and the base table's codes; the terminal labels and
+recorded subtable sizes it is checked against are read afresh on each call.
 """
 
 from __future__ import annotations

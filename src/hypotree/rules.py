@@ -7,9 +7,12 @@ number of rows accepted.
 
 Per-row quality takes the best over all paths accepting the row: minimum
 premise length and maximum coverage.  Table-level figures average those
-per-row optima over all rows.  Both functions read them off one
+per-row optima over all rows.  Both functions read them off the tree's
 level-batched routing pass (``DecisionTree.route_rows``) with a few array
-reductions over its terminal occurrences.  ``rule_stats`` stops there, which
+reductions over its terminal occurrences.  That pass runs once per tree and
+its read-only result is kept, so ``rule_stats``, ``derive_rules`` and
+``validate`` on one tree share it; it depends only on the tree's shape, its
+queries and the base table's codes.  ``rule_stats`` stops there, which
 is what the experiment harness uses on hypothesis-type trees whose path
 counts run into the millions; ``derive_rules`` also materializes every rule,
 walking only the nodes some row reaches to build the premises.

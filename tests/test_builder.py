@@ -358,6 +358,25 @@ class TestSerialize:
             sizes.append(tree.node_count)
         assert min(sizes) == 1 and max(sizes) >= 100  # one terminal; multi-digit ids
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_blocks_do_not_change_the_text(self, block, monkeypatch):
+        # 10,422 nodes, a multiple of 3; the default block splits it in three.
+        big = build_tree(ttt_centre(2), 2, "me")
+        single = build_tree(serialize_tables()[-1], 2, "me")
+        assert single.node_count == 1
+        expected = [big.serialize(), single.serialize()]
+        monkeypatch.setattr(builder, "_SERIALIZE_BLOCK", block)
+        assert [big.serialize(), single.serialize()] == expected
+
+    @pytest.mark.parametrize("block", [1, 13])
+    def test_whole_blocks_end_in_one_newline(self, t0, block, monkeypatch):
+        tree = build_tree(t0, 2, "me")
+        assert tree.node_count % block == 0
+        monkeypatch.setattr(builder, "_SERIALIZE_BLOCK", block)
+        text = tree.serialize()
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        assert text == T0_K2
+
 
 class TestHypothesisValues:
     """Hypotheses are kept as value codes; every reader turns them into the same values."""

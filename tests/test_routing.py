@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from hypotree import DecisionTable, build_tree, datasets, rule_stats, validate
+from hypotree import DecisionTable, build_tree, datasets, derive_rules, rule_stats, validate
 import hypotree.builder as builder
 
 import oracles
@@ -68,10 +68,10 @@ class TestRouting:
 
     def test_chunks_do_not_change_the_result(self, monkeypatch):
         table = ttt_centre_blank()
-        tree = build_tree(table, 2, "me")
 
         def occurrences():
-            routing = tree.route_rows()
+            # A fresh tree each time: a tree keeps its first routing.
+            routing = build_tree(table, 2, "me").route_rows()
             order = np.lexsort((routing.rows, routing.terminals))
             return (routing.node_rows, routing.rows[order],
                     routing.terminals[order], routing.depths[order])
@@ -83,17 +83,54 @@ class TestRouting:
             assert np.array_equal(a, b)
 
 
+class TestKeptRouting:
+    def test_same_read_only_routing_on_every_call(self, t0):
+        tree = build_tree(t0, 2, "me")
+        routing = tree.route_rows()
+        assert tree.route_rows() is routing
+        for part in routing:
+            with pytest.raises(ValueError):
+                part[0] = 1
+
+    def test_one_pass_serves_every_consumer(self, t0, monkeypatch):
+        passes = []
+        route = builder.DecisionTree._route
+
+        def counted(tree):
+            passes.append(tree)
+            return route(tree)
+
+        monkeypatch.setattr(builder.DecisionTree, "_route", counted)
+        tree = build_tree(t0, 3, "me")
+        rule_stats(t0, tree)
+        derive_rules(t0, tree)
+        assert validate(t0, tree).ok
+        assert passes == [tree]
+
+
+TAMPERED_T0_VIOLATIONS = [
+    "node 2: terminal labeled 5, but its subtable decides 2",
+    "node 8: recorded subtable size 3 differs from recomputed 1",
+    "row 2: a computation reaches terminal 2 deciding 5, expected 2",
+    "row 3: a computation reaches terminal 2 deciding 5, expected 2",
+]
+
+
 class TestViolationOrder:
     def test_structural_by_node_then_simulation_by_row_and_terminal(self, t0):
         tree = build_tree(t0, 2, "me")
         tree._label[2] = 5
         tree._nrows[8] = 3
-        assert validate(t0, tree).violations == [
-            "node 2: terminal labeled 5, but its subtable decides 2",
-            "node 8: recorded subtable size 3 differs from recomputed 1",
-            "row 2: a computation reaches terminal 2 deciding 5, expected 2",
-            "row 3: a computation reaches terminal 2 deciding 5, expected 2",
-        ]
+        assert validate(t0, tree).violations == TAMPERED_T0_VIOLATIONS
+
+    def test_tampering_after_routing_is_still_caught(self, t0):
+        # The kept routing does not read terminals' labels or the recorded
+        # counts, so validate sees both edits made after it was computed.
+        tree = build_tree(t0, 2, "me")
+        rule_stats(t0, tree)
+        tree._label[2] = 5
+        tree._nrows[8] = 3
+        assert validate(t0, tree).violations == TAMPERED_T0_VIOLATIONS
 
     def test_simulation_lines_by_row_before_terminal(self, t0):
         tree = build_tree(t0, 2, "me")
