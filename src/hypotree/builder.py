@@ -6,12 +6,14 @@ of nodes fit in a few hundred megabytes and no recursion happens anywhere.
 Construction is breadth-first, one level at a time; children of a node
 occupy consecutive ids, and a child's id always exceeds its parent's, which
 lets the metrics run as single forward passes.  The arena is in level
-order: every node of a level precedes every node of the next, so the last
-node lies on the deepest level, and working nodes' first children ascend
-with their ids.  A working node's child count is fixed by its query and is
-not stored: an attribute node has one child per base-table value of its
-attribute, a hypothesis node the holds child plus one counterexample per
-other (attribute, value), ``1 + total_branches - n``.
+order: every node of a level precedes every node of the next, and working
+nodes' first children ascend with their ids.  The builder records where
+each level starts (``DecisionTree.level_starts``), which gives the depth,
+each node's level and the routing pass's per-level id ranges.  A working
+node's child count is fixed by its query and is not stored: an attribute
+node has one child per base-table value of its attribute, a hypothesis node
+the holds child plus one counterexample per other (attribute, value),
+``1 + total_branches - n``.
 
 A node is either Terminal (a decision) or Working (a query).  Children are
 created for every possible answer of the chosen query against the base
@@ -61,8 +63,8 @@ string object per line.
 truthful paths.  A tree does not change after the build, so the pass runs
 once per tree: its ``Routing`` is kept on the tree, read-only, and serves
 ``validate``, ``rule_stats`` and ``derive_rules`` alike.  It depends only on
-the kinds, first children, working nodes' labels and hypothesis codes of the
-tree and on the base table's codes.
+the kinds, first children, working nodes' labels, hypothesis codes and level
+starts of the tree and on the base table's codes.
 """
 
 from __future__ import annotations
@@ -106,10 +108,6 @@ _PENDING = -1
 # comparison and counterexample temporaries, however wide it is.
 _ROUTE_CHUNK_CELLS = 1 << 18
 
-# Fewest (row, node) occurrences the routing pass holds back before counting
-# them into the per-node row counts.
-_COUNT_BATCH_ROWS = 1 << 16
-
 # Most nodes whose lines ``DecisionTree.serialize`` holds as separate strings:
 # each block of ids is joined before the next is rendered, so a large tree's
 # text is never held as one string per line.
@@ -149,16 +147,15 @@ class Routing(NamedTuple):
     """Where the base-table rows go under every truthful answer.
 
     ``node_rows[i]`` is the number of rows reaching node ``i``, which is the
-    size of its recomputed path subtable.  ``rows``, ``terminals`` and
-    ``depths`` list the terminal occurrences, in no particular order: one
-    entry per row and terminal one of its truthful computations ends in,
-    with the number of edges from the root to that terminal.
+    size of its recomputed path subtable.  ``rows`` and ``terminals`` list
+    the terminal occurrences, in no particular order: one entry per row and
+    terminal one of its truthful computations ends in.  A terminal's number
+    of edges from the root is its level in ``DecisionTree.level_starts``.
     """
 
     node_rows: np.ndarray
     rows: np.ndarray
     terminals: np.ndarray
-    depths: np.ndarray
 
 
 def _of_kind(kind, which, count, rows, nodes):
@@ -196,20 +193,22 @@ def _hypothesis_template(names, value_sets, hypothesis) -> str:
 class DecisionTree:
     """An arena-backed tree over a base table.
 
-    Read-only numpy views of the arena's four columns are exposed for the
-    metrics; per-node accessors materialize query and edge objects on
-    demand.  Node 0 is the root.  ``path_row_counts[i]`` is the number of
-    base-table rows matching the equations on the path to node ``i``.  A
-    working node's child count comes from its query (see the module
-    docstring); ``children`` and ``serialize`` work it out when called.
-    Hypotheses are kept only as value codes, one row of ``base.n`` codes
-    each, which the routing pass reads as they are; a hypothesis node's
-    label is its row.  ``query``, ``child_edges`` and ``serialize`` turn the
-    codes into values through ``base.value_sets``.  ``route_rows`` computes
-    the tree's ``Routing`` on its first call and keeps it, read-only, for
-    every later one.  It reads neither the terminals' labels nor the
-    recorded row counts, so checks of those against it see their current
-    values.
+    Read-only numpy views of the arena's four columns and of the level
+    starts are exposed for the metrics, made on first use; per-node
+    accessors materialize query and edge objects on demand.  Node 0 is the
+    root.  ``path_row_counts[i]`` is the number of base-table rows matching
+    the equations on the path to node ``i``.  A working node's child count
+    comes from its query (see the module docstring); ``children`` and
+    ``serialize`` work it out when called.  ``level_starts`` holds the
+    first id of each level, the root's first, then ``node_count``, so the
+    tree has ``len(level_starts) - 2`` levels below the root.  Hypotheses
+    are kept only as value codes, one row of ``base.n`` codes each, which
+    the routing pass reads as they are; a hypothesis node's label is its
+    row.  ``query``, ``child_edges`` and ``serialize`` turn the codes into
+    values through ``base.value_sets``.  ``route_rows`` computes the tree's
+    ``Routing`` on its first call and keeps it, read-only, for every later
+    one.  It reads neither the terminals' labels nor the recorded row
+    counts, so checks of those against it see their current values.
     """
 
     __slots__ = (
@@ -221,12 +220,13 @@ class DecisionTree:
         "_first",
         "_nrows",
         "_hyp_codes",
+        "_starts",
         "_views",
         "_routing",
     )
 
     def __init__(self, base, tree_type, measure_name,
-                 kind, label, first, nrows, hyp_codes):
+                 kind, label, first, nrows, hyp_codes, level_starts):
         self.base: DecisionTable = base
         self.tree_type: int = tree_type
         self.measure_name: str = measure_name
@@ -235,6 +235,7 @@ class DecisionTree:
         self._first = first
         self._nrows = nrows
         self._hyp_codes = hyp_codes
+        self._starts = level_starts
         self._views: tuple[np.ndarray, ...] | None = None
         self._routing: Routing | None = None
 
@@ -250,6 +251,7 @@ class DecisionTree:
                 self._as_np(self._label, np.int64),
                 self._as_np(self._nrows, np.int64),
                 self._as_np(self._first, np.int64),
+                self._as_np(self._starts, np.int64),
             )
         return self._views
 
@@ -269,6 +271,10 @@ class DecisionTree:
     @property
     def first_children(self) -> np.ndarray:
         return self._arena()[3]
+
+    @property
+    def level_starts(self) -> np.ndarray:
+        return self._arena()[4]
 
     @staticmethod
     def _as_np(arr: array, dtype) -> np.ndarray:
@@ -339,12 +345,14 @@ class DecisionTree:
         """Route every base-table row along all of its truthful paths.
 
         The pass runs once per tree: its ``Routing`` is kept and returned by
-        every later call, with its four arrays read-only, since callers
+        every later call, with its three arrays read-only, since callers
         share them.  It depends only on parts of the tree that do not change
         after the build: the kinds, the first children, the working nodes'
-        labels, the hypothesis codes and the base table's codes.
+        labels, the hypothesis codes, the level starts and the base table's
+        codes.
 
-        The pass moves (row, node) occurrences down one level at a time.  At
+        The pass moves (row, node) occurrences down one level at a time and
+        counts each level's rows per node over that level's id range.  At
         an attribute node a row takes the child of its value.  At a
         hypothesis node a row equal to the hypothesis takes the holds child;
         any other row takes one counterexample child per attribute where it
@@ -365,7 +373,7 @@ class DecisionTree:
 
     def _route(self) -> Routing:
         """The routing pass itself, as ``route_rows`` describes it."""
-        kinds, label, _, first = self._arena()
+        kinds, label, _, first, _ = self._arena()
         base = self.base
         codes = base.codes
         n_rows = len(codes)
@@ -379,33 +387,19 @@ class DecisionTree:
             )
         rows = np.arange(n_rows)
         nodes = np.zeros(n_rows, dtype=np.int64)
-        # Levels' node ids are counted in batches of at least
-        # _COUNT_BATCH_ROWS occurrences: a large tree never holds all of them
-        # at once, and a small one counts them in one bincount at the end.
-        node_rows = None
-        held: list[np.ndarray] = []
-        n_held = 0
+        node_rows = np.zeros(len(kinds), dtype=np.int64)
         ends_rows: list[np.ndarray] = []
         ends_nodes: list[np.ndarray] = []
-        ends_depth: list[int] = []
-        level = 0
-        while True:
-            held.append(nodes)
-            n_held += len(nodes)
-            if n_held >= _COUNT_BATCH_ROWS:
-                if node_rows is None:
-                    node_rows = np.zeros(len(kinds), dtype=np.int64)
-                batch = np.concatenate(held)
-                lo, hi = int(batch.min()), int(batch.max()) + 1
-                node_rows[lo:hi] += np.bincount(batch - lo, minlength=hi - lo)
-                held, n_held = [], 0
+        starts = self._starts.tolist()
+        for lo, hi in zip(starts, starts[1:]):
+            # A node outside the level makes bincount or the assignment raise.
+            node_rows[lo:hi] = np.bincount(nodes - lo, minlength=hi - lo)
             kind = kinds.take(nodes)
             n_term, n_attr, n_hyp = np.bincount(kind, minlength=3).tolist()
             if n_term:
                 r, v = _of_kind(kind, TERMINAL, n_term, rows, nodes)
                 ends_rows.append(r)
                 ends_nodes.append(v)
-                ends_depth.append(level)
             if not n_attr + n_hyp:
                 break
             next_rows: list[np.ndarray] = []
@@ -422,22 +416,10 @@ class DecisionTree:
                 rows, nodes = next_rows[0], next_nodes[0]
             else:
                 rows, nodes = np.concatenate(next_rows), np.concatenate(next_nodes)
-            level += 1
 
-        if held:
-            last = np.bincount(
-                np.concatenate(held) if len(held) > 1 else held[0], minlength=len(kinds)
-            )
-            if node_rows is None:
-                node_rows = last
-            else:
-                node_rows += last
-        depths = np.array(ends_depth).repeat([len(v) for v in ends_nodes])
         if len(ends_nodes) == 1:
-            return Routing(node_rows, ends_rows[0], ends_nodes[0], depths)
-        return Routing(
-            node_rows, np.concatenate(ends_rows), np.concatenate(ends_nodes), depths
-        )
+            return Routing(node_rows, ends_rows[0], ends_nodes[0])
+        return Routing(node_rows, np.concatenate(ends_rows), np.concatenate(ends_nodes))
 
     def _expand_hypotheses(self, hyp, rows, nodes, next_rows, next_nodes) -> None:
         """Append the child occurrences of (row, hypothesis node) occurrences.
@@ -446,7 +428,7 @@ class DecisionTree:
         and each attribute's ``1 + offsets[i] - i``, made once per pass.
         """
         codes, hyp_codes, skip = hyp
-        _, label, _, first = self._arena()
+        _, label, _, first, _ = self._arena()
         chunk = max(1, _ROUTE_CHUNK_CELLS // codes.shape[1])
         for lo in range(0, len(rows), chunk):
             r, v = rows[lo : lo + chunk], nodes[lo : lo + chunk]
@@ -554,25 +536,27 @@ class _Builder:
                                   table.n_rows)
         else:
             self._append_pending(rows)
-        narrow, level, width = self.pending, 0, 0
+        narrow, width = self.pending, 0
+        starts = array("q", [0])  # the first id of each level, then the node count
         try:
             while narrow:
                 width = len(narrow)
                 if width >= _WIDE_FRONTIER:
                     wide = _join_frontier(narrow)
                     while width >= _WIDE_FRONTIER:
+                        starts.append(len(self.kind))
                         wide = self._expand_level(*wide)
-                        level += 1
                         width = len(wide[0])
                     narrow = _split_frontier(*wide)
                     continue
+                starts.append(len(self.kind))
                 self.pending = []
                 for node, node_rows in narrow:
                     self._expand(node, node_rows)
                 narrow = self.pending
-                level += 1
         except NodeBudgetExceeded as exc:  # name the level that ran out
-            raise NodeBudgetExceeded(self.budget, exc.nodes, level, width) from None
+            raise NodeBudgetExceeded(self.budget, exc.nodes, len(starts) - 2, width) from None
+        starts.append(len(self.kind))
         return DecisionTree(
             table,
             self.tree_type,
@@ -582,6 +566,7 @@ class _Builder:
             self.first,
             self.nrows,
             self.hyp_codes,
+            starts,
         )
 
     def _append_terminal(self, decision: int, n_rows: int) -> None:

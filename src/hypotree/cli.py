@@ -6,8 +6,8 @@ and behavioural checks), ``experiment`` (dataset x measure x type report)
 and ``experiment-bool`` (random Boolean function suites with min/avg/max
 aggregation).
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error, 3 node
-budget exceeded.
+Exit codes: 0 success, 1 usage error or unwritable output file, 2 data or
+validation error, 3 node budget exceeded.
 """
 
 from __future__ import annotations
@@ -184,8 +184,11 @@ def _build_parser() -> _Parser:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}")
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -207,6 +210,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "rules":
+        if args.csv is not None and args.out is not None:
+            raise UsageError("--out does not apply with --csv; give the file to --csv")
         table, tree = _single_tree(args)
         ruleset = derive_rules(table, tree)
         if args.csv is not None:

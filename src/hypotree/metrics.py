@@ -1,9 +1,10 @@
 """Tree metrics: depth, realizable node count, simulation, validation.
 
-Depth counts the queries (Working nodes) on a longest root-to-terminal path.
-A node is realizable when some base-table row together with some truthful
-choice of counterexamples reaches it, which is exactly when the subtable of
-rows matching its path equations is nonempty; the builder records those row
+Depth counts the queries (Working nodes) on a longest root-to-terminal path:
+the levels below the root in ``DecisionTree.level_starts``.  A node is
+realizable when some base-table row together with some truthful choice of
+counterexamples reaches it, which is exactly when the subtable of rows
+matching its path equations is nonempty; the builder records those row
 counts, so counting is a single pass.
 
 Simulation replays one row through the tree.  At a hypothesis node whose
@@ -70,18 +71,11 @@ def _check_pair(table: DecisionTable, tree: DecisionTree) -> None:
 def depth(tree: DecisionTree) -> int:
     """Maximum number of queries on any root-to-terminal path.
 
-    The arena is in breadth-first level order, so the last node sits on the
-    deepest level and the depth is the number of its ancestors.  Working
-    nodes' first children ascend with their ids, so each parent is found by
-    one binary search over them.
+    Every level above the deepest holds a working node, and the deepest
+    holds only terminals, so this is the number of levels below the root:
+    ``level_starts`` has one entry per level plus the node count.
     """
-    working = np.flatnonzero(tree.kinds != TERMINAL)
-    first = tree.first_children.take(working)
-    node, levels = tree.node_count - 1, 0
-    while node:
-        node = int(working[np.searchsorted(first, node, "right") - 1])
-        levels += 1
-    return levels
+    return len(tree.level_starts) - 2
 
 
 def realizable_count(table: DecisionTable, tree: DecisionTree) -> int:

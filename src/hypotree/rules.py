@@ -9,12 +9,13 @@ Per-row quality takes the best over all paths accepting the row: minimum
 premise length and maximum coverage.  Table-level figures average those
 per-row optima over all rows.  Both functions read them off the tree's
 level-batched routing pass (``DecisionTree.route_rows``) with a few array
-reductions over its terminal occurrences.  That pass runs once per tree and
-its read-only result is kept, so ``rule_stats``, ``derive_rules`` and
+reductions over its terminal occurrences, and a path's edge count off
+``DecisionTree.level_starts``.  That pass runs once per tree and its
+read-only result is kept, so ``rule_stats``, ``derive_rules`` and
 ``validate`` on one tree share it; it depends only on the tree's shape, its
-queries and the base table's codes.  ``rule_stats`` stops there, which
-is what the experiment harness uses on hypothesis-type trees whose path
-counts run into the millions; ``derive_rules`` also materializes every rule,
+queries and the base table's codes.  ``rule_stats`` stops there, which is
+what the experiment harness uses on hypothesis-type trees whose path counts
+run into the millions; ``derive_rules`` also materializes every rule,
 walking only the nodes some row reaches to build the premises.
 """
 
@@ -90,7 +91,9 @@ def _row_optima(
     system mentions every attribute.  A terminal's coverage is the number of
     rows reaching it.
     """
-    length = routing.depths
+    # A path's edge count is its terminal's level: how many levels below the
+    # root start at or before it.
+    length = tree.level_starts[1:].searchsorted(routing.terminals, "right")
     if len(tree._hyp_codes):  # some node asks a hypothesis
         confirms = np.zeros(tree.node_count, dtype=bool)
         confirms[tree.first_children[tree.kinds == WORKING_HYP]] = True

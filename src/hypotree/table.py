@@ -92,6 +92,18 @@ class EquationSystem:
         return f"EquationSystem({body})"
 
 
+def _integral(data, what: str) -> np.ndarray:
+    """``data`` as a new int64 array; ConstraintError if the cast changes an entry."""
+    raw = np.asarray(data)
+    if raw.dtype.kind in "biu":
+        return raw.astype(np.int64, copy=raw is data)
+    with np.errstate(invalid="ignore"):
+        out = raw.astype(np.int64)
+    if not np.array_equal(out, raw):
+        raise ConstraintError(f"{what} must be integers")
+    return out
+
+
 class DecisionTable:
     """An immutable table of nonnegative integers with one decision per row.
 
@@ -130,14 +142,14 @@ class DecisionTable:
             raise ConstraintError("a decision table needs at least one attribute")
         if len(set(names)) != len(names):
             raise ConstraintError("attribute names must be unique")
-        vals = np.array(values, dtype=np.int64)
+        vals = _integral(values, "attribute values")
         if vals.size == 0:
             vals = vals.reshape(0, len(names))
         if vals.ndim != 2 or vals.shape[1] != len(names):
             raise ConstraintError(
                 f"value matrix must have {len(names)} columns, got shape {vals.shape}"
             )
-        decs = np.array(decisions, dtype=np.int64).reshape(-1)
+        decs = _integral(decisions, "decisions").reshape(-1)
         if decs.shape[0] != vals.shape[0]:
             raise ConstraintError(
                 f"{vals.shape[0]} rows but {decs.shape[0]} decisions"

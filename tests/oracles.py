@@ -217,6 +217,22 @@ def oracle_depth(tree) -> int:
     return deepest
 
 
+def oracle_levels(tree) -> list[int]:
+    """Each node's number of edges from the root, by a breadth-first walk of ``child_edges``."""
+    levels = {0: 0}
+    frontier = [0]
+    while frontier:
+        below = []
+        for node in frontier:
+            if tree.is_terminal(node):
+                continue
+            for child, _, _ in tree.child_edges(node):
+                levels[child] = levels[node] + 1
+                below.append(child)
+        frontier = below
+    return [levels[node] for node in range(len(levels))]
+
+
 def oracle_realizable(table: DecisionTable, tree) -> int:
     union: set[int] = set()
     for r in range(table.n_rows):

@@ -151,6 +151,37 @@ class TestStructure:
         assert len(systems) == len(tree.children(0))
 
 
+class TestLevelStarts:
+    """Each level's id range against a breadth-first walk of ``child_edges``."""
+
+    @staticmethod
+    def check(tree):
+        starts = tree.level_starts
+        assert starts.dtype == np.int64 and not starts.flags.writeable
+        assert starts[0] == 0 and starts[-1] == tree.node_count
+        assert np.all(np.diff(starts) > 0)
+        expected = oracles.oracle_levels(tree)
+        assert len(starts) - 2 == max(expected)
+        levels = np.searchsorted(starts, np.arange(tree.node_count), "right") - 1
+        assert levels.tolist() == expected
+
+    @pytest.mark.parametrize("wide_from", [1, 1 << 30])  # levels batched: always, never
+    @pytest.mark.parametrize("tree_type", [1, 2, 3, 4, 5])
+    def test_matches_breadth_first_oracle(self, tree_type, wide_from, monkeypatch):
+        monkeypatch.setattr(builder, "_WIDE_FRONTIER", wide_from)
+        rng = random.Random(2718)
+        for _ in range(15):
+            table = random_table(rng)
+            for measure in ("me", "ent"):
+                self.check(build_tree(table, tree_type, measure))
+
+    def test_one_node_tree(self):
+        one = DecisionTable(("a",), np.array([(0,)]), np.array([5]))
+        tree = build_tree(one, 2, "me")
+        assert tree.level_starts.tolist() == [0, 1]
+        self.check(tree)
+
+
 class TestBudget:
     def test_budget_zero(self, t0):
         with pytest.raises(NodeBudgetExceeded) as info:

@@ -121,6 +121,18 @@ class TestRules:
         assert code == 0 and out == ""
         assert "→" in target.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_csv_with_out_is_a_usage_error(self, capsys, t0_csv, tmp_path, to_file):
+        csv = ["--csv", str(tmp_path / "rules.csv")] if to_file else ["--csv"]
+        code, out, err = run(
+            capsys, "rules", "--table", str(t0_csv), "--type", "1",
+            *csv, "--out", str(tmp_path / "rules.txt"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --out does not apply with --csv; give the file to --csv\n"
+        assert not (tmp_path / "rules.csv").exists()
+        assert not (tmp_path / "rules.txt").exists()
+
 
 class TestValidate:
     def test_ok(self, capsys, t0_csv):
@@ -282,6 +294,22 @@ class TestExitCodes:
             "--budget", "2",
         )
         assert code == 3 and "aborted:" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("build", "--type", "1", "--out"),
+            ("rules", "--type", "1", "--csv"),
+            ("experiment", "--types", "1", "--out"),
+        ],
+    )
+    def test_unwritable_output_is_an_error(self, capsys, t0_csv, tmp_path, command):
+        name, *options = command
+        table = "--tables" if name == "experiment" else "--table"
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, name, table, str(t0_csv), *options, str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
 
     def test_budget_below_one_is_a_usage_error(self, capsys, t0_csv):
         code, _, err = run(

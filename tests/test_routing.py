@@ -62,9 +62,17 @@ class TestRouting:
         assert np.array_equal(routing.node_rows, tree.path_row_counts)
 
     def test_depths_count_edges(self, t0):
-        routing = build_tree(t0, 2, "me").route_rows()
-        depth_of = dict(zip(routing.terminals.tolist(), routing.depths.tolist()))
+        tree = build_tree(t0, 2, "me")
+        terminals = tree.route_rows().terminals
+        depths = np.searchsorted(tree.level_starts, terminals, "right") - 1
+        depth_of = dict(zip(terminals.tolist(), depths.tolist()))
         assert depth_of == {1: 1, 2: 1, 6: 2, 8: 2, 10: 2, 11: 2}
+
+    def test_occurrence_outside_its_level_raises(self, t0):
+        tree = build_tree(t0, 1, "me")
+        tree._first[0] = 0  # the root's rows would come back to level 0
+        with pytest.raises(ValueError):
+            tree.route_rows()
 
     def test_chunks_do_not_change_the_result(self, monkeypatch):
         table = ttt_centre_blank()
@@ -73,8 +81,7 @@ class TestRouting:
             # A fresh tree each time: a tree keeps its first routing.
             routing = build_tree(table, 2, "me").route_rows()
             order = np.lexsort((routing.rows, routing.terminals))
-            return (routing.node_rows, routing.rows[order],
-                    routing.terminals[order], routing.depths[order])
+            return routing.node_rows, routing.rows[order], routing.terminals[order]
 
         whole = occurrences()
         monkeypatch.setattr(builder, "_ROUTE_CHUNK_CELLS", 3 * table.n)

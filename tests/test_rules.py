@@ -84,9 +84,7 @@ class TestDeriveRules:
         tree = build_tree(t0, 1, "me")
         routing = tree.route_rows()
         keep = routing.rows != 1
-        dropped = Routing(
-            routing.node_rows, routing.rows[keep], routing.terminals[keep], routing.depths[keep]
-        )
+        dropped = Routing(routing.node_rows, routing.rows[keep], routing.terminals[keep])
         with pytest.raises(ConstraintError, match="not covered"):
             _row_optima(t0, tree, dropped)
 

@@ -70,11 +70,22 @@ class TestConstruction:
             (("a", "b"), [(5, 0), (2, 7), (5, 0)], [0, 1, 0]),  # apart, gapped alphabet
             (("a",), [(-1,)], [0]),  # negative value
             (("a",), [(0,)], [-1]),  # negative decision
+            (("a",), [(1.5,), (2.7,)], [0, 1]),  # fractional values
+            (("a",), [(0,), (1,)], [0.9, 1.2]),  # fractional decisions
+            (("a",), [(1,), (1.2,)], [0, 1]),  # would truncate to equal rows
+            (("a",), [(float("nan"),)], [0]),  # not a number
         ],
     )
     def test_invalid_tables_rejected(self, names, values, decisions):
         with pytest.raises(ConstraintError):
             DecisionTable(names, np.array(values), np.array(decisions))
+
+    def test_integral_input_only(self):
+        t = DecisionTable(("a",), np.array([(1.0,), (2.0,)]), np.array([0.0, 1.0]))
+        assert t.values.dtype == t.decisions.dtype == np.int64
+        assert t.values.tolist() == [[1], [2]] and t.decisions.tolist() == [0, 1]
+        with pytest.raises(ConstraintError, match="attribute values must be integers"):
+            DecisionTable(("a",), np.array([(1,), (1.2,)]), np.array([0, 1]))
 
     def test_single_row_table_allowed(self):
         t = DecisionTable(("a",), np.array([(7,)]), np.array([3]))
