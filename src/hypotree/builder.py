@@ -22,24 +22,33 @@ labeled 0.  Degenerate children are labeled immediately from the branch
 counts gathered during query selection, so only nondegenerate subtables
 join the next level.
 
+A narrow level, which is every level of a small table, is expanded node by
+node (``_Builder._expand``) in a handful of NumPy calls per node.
+``queries.branch_stats`` counts the node's rows with one ``bincount`` of
+their ``DecisionTable.branch_keys`` and hands back plain lists, which
+``select_query_from_stats`` scans for the query.  The children's kind, label
+and row count are then gathered in lists, each arena column is extended
+once, and the rows of the children still to expand are cut from one
+``take`` of the node's rows of codes.  A root whose table has one decision
+value is a terminal at once.
+
 A level with at least ``_WIDE_FRONTIER`` nodes to expand is built in a few
-NumPy passes over all of them: one ``bincount`` gives every node's (branch,
-decision) counts, the query choice reads a padded (node x attribute x value)
-view of the branch uncertainties, and the children are laid out on a
-(node x answer) grid whose nonzero order is the arena's child order.  Proper
-hypotheses (types 4 and 5) are found by a threshold search over packed row
-bitsets, 64 base rows to a word: one cumulative AND over the attributes,
-sorted by their largest branch uncertainty, gives the rows under each
-candidate impurity, and the lowest set bit of the least nonempty one is the
-earliest row of least impurity (``_Builder._best_proper``).  The level is
-split into chunks of whole nodes holding at most ``_CHUNK_CELLS`` cells (a
-proper search holds one per attribute and word of rows, not per base row),
-so its temporaries stay small however wide it is.  Narrower levels,
-which is every level of a small table, are expanded node by node
-(``_Builder._expand``), which costs less there; both ways build the same
-tree.  The node budget is checked before any child of a node is allocated:
-per node on a narrow level, once per chunk on a wide one, with the same
-count of allocated nodes in the error either way.
+NumPy passes over all of them: one ``bincount`` of the rows' branch keys,
+each offset by its node, gives every node's (branch, decision) counts, the
+query choice reads a padded (node x attribute x value) view of the branch
+uncertainties, and the children are laid out on a (node x answer) grid
+whose nonzero order is the arena's child order.  Proper hypotheses (types 4
+and 5) are found by a threshold search over packed row bitsets, 64 base rows
+to a word: one cumulative AND over the attributes, sorted by their largest
+branch uncertainty, gives the rows under each candidate impurity, and the
+lowest set bit of the least nonempty one is the earliest row of least
+impurity (``_Builder._best_proper``).  The level is split into chunks of
+whole nodes holding at most ``_CHUNK_CELLS`` cells (a proper search holds
+one per attribute and word of rows, not per base row), so its temporaries
+stay small however wide it is.  Narrow levels cost less node by node; both
+ways build the same tree.  The node budget is checked before any child of a
+node is allocated: per node on a narrow level, once per chunk on a wide one,
+with the same count of allocated nodes in the error either way.
 
 A hypothesis is stored once, as its row of value codes (positions in the
 base table's ``value_sets``) in one flat array; a hypothesis node's label is
@@ -70,6 +79,7 @@ starts of the tree and on the base table's codes.
 from __future__ import annotations
 
 from array import array
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -522,21 +532,23 @@ class _Builder:
         self.first = array("q")
         self.nrows = array("q")
         self.hyp_codes = array(_code_typecode(table))
-        self.pending: list[tuple[int, np.ndarray]] = []
+        self.offsets = table.offsets.tolist()
+        self.decision_values = table.decision_values.tolist()
         self._layout: _BranchLayout | None = None
 
     def run(self) -> DecisionTree:
         table = self.table
         if self.budget < 1:
             raise NodeBudgetExceeded(self.budget, 0)
-        rows = np.arange(table.n_rows, dtype=np.int64)
-        counts = np.bincount(table.dec_codes, minlength=max(table.n_decision_values, 1))
-        if int(counts.max(initial=0)) == table.n_rows:
-            self._append_terminal(int(table.decision_values[int(np.argmax(counts))]),
-                                  table.n_rows)
+        if len(self.decision_values) == 1:  # a degenerate root is the whole tree
+            root, narrow = (TERMINAL, self.decision_values[0]), []
         else:
-            self._append_pending(rows)
-        narrow, width = self.pending, 0
+            root, narrow = (_PENDING, -1), [(0, np.arange(table.n_rows, dtype=np.int64))]
+        self.kind.append(root[0])
+        self.label.append(root[1])
+        self.first.append(-1)
+        self.nrows.append(table.n_rows)
+        width = 0
         starts = array("q", [0])  # the first id of each level, then the node count
         try:
             while narrow:
@@ -550,10 +562,10 @@ class _Builder:
                     narrow = _split_frontier(*wide)
                     continue
                 starts.append(len(self.kind))
-                self.pending = []
+                pending: list[tuple[int, np.ndarray]] = []
                 for node, node_rows in narrow:
-                    self._expand(node, node_rows)
-                narrow = self.pending
+                    self._expand(node, node_rows, pending)
+                narrow = pending
         except NodeBudgetExceeded as exc:  # name the level that ran out
             raise NodeBudgetExceeded(self.budget, exc.nodes, len(starts) - 2, width) from None
         starts.append(len(self.kind))
@@ -569,75 +581,66 @@ class _Builder:
             starts,
         )
 
-    def _append_terminal(self, decision: int, n_rows: int) -> None:
-        self.kind.append(TERMINAL)
-        self.label.append(decision)
-        self.first.append(-1)
-        self.nrows.append(n_rows)
-
-    def _append_pending(self, rows: np.ndarray) -> int:
-        node = len(self.kind)
-        self.kind.append(_PENDING)
-        self.label.append(-1)
-        self.first.append(-1)
-        self.nrows.append(len(rows))
-        self.pending.append((node, rows))
-        return node
-
-    def _expand(self, node: int, rows: np.ndarray) -> None:
+    def _expand(self, node: int, rows: np.ndarray, pending: list) -> None:
         """Expand one node of a narrow level; its pending children join ``pending``."""
         table = self.table
         stats = branch_stats(table, rows, self.measure)
         choice, _ = select_query_from_stats(table, stats, self.tree_type)
+        offsets = self.offsets
 
+        # Children's (attribute, global branch) in child order, after any holds child.
         if type(choice) is int:  # an attribute; else a hypothesis's value codes
-            n_children = len(table.value_sets[choice])
             self.kind[node] = WORKING_ATTR
             self.label[node] = choice
-            branches = [(choice, pos) for pos in range(n_children)]
-            holds_row = None
+            branches = [(choice, g) for g in range(offsets[choice], offsets[choice + 1])]
+            n_children = len(branches)
         else:
-            n_children = 1 + table.total_branches - table.n
             self.kind[node] = WORKING_HYP
             self.label[node] = len(self.hyp_codes) // table.n
             self.hyp_codes.extend(choice)
             branches = [
-                (i, pos)
-                for i, own in enumerate(choice)
-                for pos in range(len(table.value_sets[i]))
-                if pos != own
+                (i, g)
+                for i, (lo, hi, own) in enumerate(zip(offsets, offsets[1:], choice))
+                for g in range(lo, hi)
+                if g != lo + own
             ]
-            # The base row equal to the hypothesis, or -1, which no subtable holds.
-            holds_row = table._row_index.get(choice, -1)
+            n_children = 1 + len(branches)
 
-        if len(self.kind) + n_children > self.budget:
-            raise NodeBudgetExceeded(self.budget, len(self.kind))
-        self.first[node] = len(self.kind)
+        start = len(self.kind)
+        if start + n_children > self.budget:
+            raise NodeBudgetExceeded(self.budget, start)
+        self.first[node] = start
 
-        offsets = self.table.offsets
-        dec_values = table.decision_values
-        cols: dict[int, np.ndarray] = {}
-
-        if holds_row is not None:
-            at = int(np.searchsorted(rows, holds_row))
-            if at < len(rows) and rows[at] == holds_row:
-                self._append_terminal(int(table.decisions[holds_row]), 1)
+        kind, label, nrows = [], [], []
+        if type(choice) is not int:
+            # The holds child has the base row equal to the hypothesis, if the subtable does.
+            row = table._row_index.get(choice, -1)
+            at = rows.searchsorted(row) if row >= 0 else len(rows)
+            held = at < len(rows) and rows[at] == row
+            kind.append(TERMINAL)
+            label.append(int(table.decisions[row]) if held else 0)
+            nrows.append(1 if held else 0)
+        split = []
+        n, mx, am = stats.n, stats.mx, stats.am
+        for i, g in branches:
+            count = n[g]
+            nrows.append(count)
+            if mx[g] == count:  # empty, or every row shares one decision
+                kind.append(TERMINAL)
+                label.append(self.decision_values[am[g]] if count else 0)
             else:
-                self._append_terminal(0, 0)
+                split.append((len(kind), i, g - offsets[i]))
+                kind.append(_PENDING)
+                label.append(-1)
 
-        for i, pos in branches:
-            g = int(offsets[i]) + pos
-            branch_n = stats.n[g]
-            if branch_n == 0:
-                self._append_terminal(0, 0)
-            elif stats.mx[g] == branch_n:
-                self._append_terminal(int(dec_values[stats.am[g]]), branch_n)
-            else:
-                col = cols.get(i)
-                if col is None:
-                    col = table.codes[rows, i]
-                    cols[i] = col
-                self._append_pending(rows[col == pos])
+        self.kind.extend(kind)
+        self.label.extend(label)
+        self.first.extend([-1] * n_children)
+        self.nrows.extend(nrows)
+        if split:
+            codes = table.codes.take(rows, axis=0)
+            for at, i, code in split:
+                pending.append((start + at, rows[codes[:, i] == code]))
 
     def _expand_level(self, nodes, rows, seg):
         """Expand a wide level in chunks; return the next level as (nodes, rows, seg).
@@ -684,15 +687,15 @@ class _Builder:
         tb = table.total_branches
         d = max(table.n_decision_values, 1)
 
-        # Branch statistics: one count per (node, branch, decision).
-        keys = (seg[:, None] * tb + table.offset_codes[rows]) * d
-        keys += table.dec_codes[rows][:, None]
+        # Branch statistics: one count per (node, branch, decision); a key
+        # over d is its row's (node, branch) position, ``seg * tb + branch``.
+        keys = table.branch_keys[rows] + (seg * (tb * d))[:, None]
         cont = np.bincount(keys.ravel(), minlength=f * tb * d).reshape(f * tb, d)
         u = self.measure.of_count_matrix(cont).reshape(f, tb)
         n_branch = cont.sum(axis=1).reshape(f, tb)
         pure = (cont.max(axis=1) == n_branch.ravel()).reshape(f, tb)
         majority = table.decision_values[cont.argmax(axis=1)].reshape(f, tb)
-        del cont, keys
+        del cont
 
         use_hyp, attr, hcodes = self._select(u, n_branch)
 
@@ -745,7 +748,7 @@ class _Builder:
         rank = np.cumsum(pending) - 1
         go = np.where(use_hyp[seg, None], differs, lay.attr_index == attr[seg, None])
         at_row, at_attr = np.nonzero(go)
-        cell = seg[at_row] * (1 + tb) + 1 + table.offset_codes[rows[at_row], at_attr]
+        cell = keys[at_row, at_attr] // d + seg[at_row] + 1
         keep = pending[cell]
         next_seg = rank[cell[keep]]
         order = np.argsort(next_seg, kind="stable")
@@ -913,15 +916,23 @@ def build_tree(
     The tree grows one breadth-first level at a time: wide levels in chunked
     NumPy passes over all their nodes, narrow ones node by node (see the
     module docstring); the result does not depend on which.  Raises
-    ConstraintError for an empty table or invalid type, and
+    ConstraintError for an empty table, a tree type that is not an integer
+    1..5 or a node budget that is not an integer (bools are neither), and
     NodeBudgetExceeded, naming the level and its width, when the arena would
     outgrow ``node_budget`` nodes.
     """
     if isinstance(measure, str):
         measure = get_measure(measure)
-    tree_type = int(tree_type)
-    if tree_type not in (1, 2, 3, 4, 5):
-        raise ConstraintError(f"tree type must be 1..5, got {tree_type}")
+    if not _is_integer(tree_type) or tree_type not in (1, 2, 3, 4, 5):
+        raise ConstraintError(f"tree type must be an integer 1..5, got {tree_type!r}")
+    if not _is_integer(node_budget):
+        raise ConstraintError(f"node budget must be an integer, got {node_budget!r}")
     if table.n_rows == 0:
         raise ConstraintError("cannot build a tree for an empty table")
-    return _Builder(table, tree_type, measure, node_budget).run()
+    return _Builder(table, int(tree_type), measure, int(node_budget)).run()
+
+
+def _is_integer(value) -> bool:
+    """True for Python and NumPy integers, but not for bools."""
+    # A plain int skips the slower abstract-class check.
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))

@@ -13,6 +13,8 @@ validation error, 3 node budget exceeded.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -181,6 +183,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_writable(out: str | None) -> None:
+    """Raise the UsageError ``_emit`` would for an unwritable ``out``, before any work.
+
+    Nothing is opened, created or truncated, so a run that stops later
+    leaves no file behind: an existing path must be a writable non-directory,
+    a missing one needs a writable directory to be made in.
+    """
+    if out is None:
+        return
+    try:
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        try:
+            os.stat(out)
+            where = out
+        except FileNotFoundError:  # made in its directory, which must exist
+            where = os.path.dirname(out) or "."
+            os.stat(where)
+        if not os.access(where, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -193,6 +219,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "build":
+        _check_writable(args.out)
         _, tree = _single_tree(args)
         _emit(tree.serialize(), args.out)
         return 0
@@ -212,6 +239,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "rules":
         if args.csv is not None and args.out is not None:
             raise UsageError("--out does not apply with --csv; give the file to --csv")
+        _check_writable(args.out if args.csv in (None, "-") else args.csv)
         table, tree = _single_tree(args)
         ruleset = derive_rules(table, tree)
         if args.csv is not None:
@@ -231,6 +259,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "experiment":
         spec = _experiment_spec(args, _expand_table_args(args.tables))
+        _check_writable(args.out)
         cells = run_matrix(spec)
         _emit(render_report(cells, args.format), args.out)
         return 0
@@ -245,6 +274,7 @@ def _run(args: argparse.Namespace) -> int:
             f"bool:n={n},count={args.count},seed={args.seed}" for n in sizes
         )
         spec = _experiment_spec(args, tokens)
+        _check_writable(args.out)
         aggregates = aggregate_bool(run_matrix(spec))
         _emit(render_bool_report(aggregates, args.format), args.out)
         return 0

@@ -141,9 +141,10 @@ class BranchStats:
 
     Branch order is the table's global (attribute, value) order.  ``u`` holds
     the uncertainty of each single-equation branch subtable, ``n`` its row
-    count, ``mx``/``am`` the count and code of its most common decision.
-    Plain lists: the segments per attribute are tiny and python scans beat
-    numpy dispatch at this size.
+    count, ``mx``/``am`` the count and code of its most common decision (the
+    smallest code on a tie, 0 on an empty branch).  Plain lists: the
+    segments per attribute are tiny and python scans beat numpy dispatch at
+    this size.
     """
 
     __slots__ = ("u", "n", "mx", "am")
@@ -158,17 +159,23 @@ class BranchStats:
 def branch_stats(
     table: DecisionTable, rows: np.ndarray, measure: UncertaintyMeasure
 ) -> BranchStats:
-    dec = table.dec_codes[rows]
+    """Statistics of every branch of the subtable ``rows`` of ``table``.
+
+    One ``bincount`` of the rows' ``branch_keys`` gives the (branch,
+    decision) count matrix; the measure runs once on it, and the counts,
+    their largest and its first position are read from one list of it.
+    """
     d = max(table.n_decision_values, 1)
-    flat = table.offset_codes[rows].ravel()
-    combo = flat * d + np.repeat(dec, table.n)
-    cont = np.bincount(combo, minlength=table.total_branches * d).reshape(-1, d)
-    nvec = cont.sum(axis=1)
+    cont = np.bincount(
+        table.branch_keys.take(rows, axis=0).ravel(), minlength=table.total_branches * d
+    ).reshape(-1, d)
+    counts = cont.tolist()
+    mx = list(map(max, counts))
     return BranchStats(
         measure.of_count_matrix(cont).tolist(),
-        nvec.tolist(),
-        cont.max(axis=1, initial=0).tolist(),
-        cont.argmax(axis=1).tolist(),
+        list(map(sum, counts)),
+        mx,
+        list(map(list.index, counts, mx)),
     )
 
 

@@ -114,6 +114,14 @@ class DecisionTable:
     a table whose index has fewer entries than rows repeats a row and is
     rejected, and ``is_proper`` and the builder find a hypothesis's row by
     looking up its codes.
+
+    ``branch_keys[r, i]`` is row ``r``'s cell in a flat (branch, decision)
+    count array: ``(codes[r, i] + offsets[i]) * d + dec_codes[r]`` with ``d``
+    decision values (at least 1), where the branch ``offsets[i] + code`` is
+    the entry's (attribute, value) pair in the table's global branch order.
+    One ``bincount`` of a subtable's keys gives every branch's decision
+    counts; ``key // d`` is the branch and ``key % d`` the decision code.
+    Made once at construction, read-only like every other array here.
     """
 
     __slots__ = (
@@ -127,7 +135,7 @@ class DecisionTable:
         "codes",
         "dec_codes",
         "offsets",
-        "offset_codes",
+        "branch_keys",
         "_row_index",
     )
 
@@ -169,8 +177,8 @@ class DecisionTable:
         code_cols = []
         for j in range(self.n):
             uniq = np.unique(vals[:, j])
-            value_sets.append(tuple(int(v) for v in uniq))
-            code_cols.append(np.searchsorted(uniq, vals[:, j]).astype(np.int64))
+            value_sets.append(tuple(uniq.tolist()))
+            code_cols.append(np.searchsorted(uniq, vals[:, j]).astype(np.int64, copy=False))
         self.value_sets = tuple(value_sets)
         self.codes = (
             np.stack(code_cols, axis=1) if self.n_rows else np.zeros((0, self.n), np.int64)
@@ -183,14 +191,15 @@ class DecisionTable:
 
         dec_uniq = np.unique(decs)
         self.decision_values = dec_uniq
-        self.dec_codes = np.searchsorted(dec_uniq, decs).astype(np.int64)
+        self.dec_codes = np.searchsorted(dec_uniq, decs).astype(np.int64, copy=False)
 
         sizes = np.array([len(vs) for vs in self.value_sets], dtype=np.int64)
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.offset_codes = self.codes + self.offsets[:-1]
+        self.branch_keys = (self.codes + self.offsets[:-1]) * max(len(dec_uniq), 1)
+        self.branch_keys += self.dec_codes[:, None]
 
         for arr in (self.values, self.decisions, self.codes, self.dec_codes,
-                    self.offsets, self.offset_codes, self.decision_values):
+                    self.offsets, self.branch_keys, self.decision_values):
             arr.flags.writeable = False
 
     @property

@@ -214,6 +214,21 @@ class TestInputs:
         with pytest.raises(ConstraintError):
             build_tree(t0, bad, "me")
 
+    @pytest.mark.parametrize("bad", [1.9, 2.0, np.float64(2.5), "3", True, np.bool_(True), None])
+    def test_tree_type_must_be_an_integer(self, t0, bad):
+        with pytest.raises(ConstraintError, match="tree type must be an integer"):
+            build_tree(t0, bad, "me")
+
+    @pytest.mark.parametrize("bad", [2.5, 100.0, True, False, "100", None])
+    def test_node_budget_must_be_an_integer(self, t0, bad):
+        with pytest.raises(ConstraintError, match="node budget must be an integer"):
+            build_tree(t0, 1, "me", node_budget=bad)
+
+    def test_numpy_integers_are_accepted(self, t0):
+        got = build_tree(t0, np.int64(2), "me", node_budget=np.int32(13))
+        assert type(got.tree_type) is int and got.tree_type == 2
+        assert got.serialize() == build_tree(t0, 2, "me").serialize()
+
     def test_empty_table_rejected(self):
         empty = DecisionTable(
             ("a",), np.zeros((0, 1), dtype=int), np.array([], dtype=int)

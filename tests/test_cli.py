@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import hypotree.cli as cli
 from hypotree.cli import UsageError, _parse_range_list, main
 
 from conftest import T0_CSV
@@ -303,13 +304,44 @@ class TestExitCodes:
             ("experiment", "--types", "1", "--out"),
         ],
     )
-    def test_unwritable_output_is_an_error(self, capsys, t0_csv, tmp_path, command):
+    def test_unwritable_output_is_an_error(self, capsys, t0_csv, tmp_path, command,
+                                           monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the output file is checked before any work")
+
+        monkeypatch.setattr(cli, "build_tree", unreachable)
+        monkeypatch.setattr(cli, "run_matrix", unreachable)
         name, *options = command
         table = "--tables" if name == "experiment" else "--table"
         target = tmp_path / "missing" / "out.txt"
         code, out, err = run(capsys, name, table, str(t0_csv), *options, str(target))
         assert (code, out) == (1, "")
         assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("build", "--type", "1", "--out"),
+            ("rules", "--type", "1", "--csv"),
+            ("rules", "--type", "1", "--out"),
+        ],
+    )
+    def test_output_check_leaves_no_file_on_abort(self, capsys, t0_csv, tmp_path, command):
+        name, *options = command
+        fresh, kept = tmp_path / "fresh.txt", tmp_path / "kept.txt"
+        kept.write_text("before\n", encoding="utf-8")
+        for target in (fresh, kept):
+            code, out, err = run(capsys, name, "--table", str(t0_csv), "--budget", "2",
+                                 *options, str(target))
+            assert (code, out) == (3, "") and err.startswith("aborted:")
+        assert not fresh.exists()
+        assert kept.read_text(encoding="utf-8") == "before\n"
+
+    def test_output_directory_is_an_error(self, capsys, t0_csv, tmp_path):
+        code, out, err = run(capsys, "build", "--table", str(t0_csv), "--type", "1",
+                             "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
 
     def test_budget_below_one_is_a_usage_error(self, capsys, t0_csv):
         code, _, err = run(

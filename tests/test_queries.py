@@ -14,6 +14,7 @@ from hypotree import (
     Hypothesis,
     HypothesisQuery,
     MEASURES,
+    SubtableRef,
     answers,
     get_measure,
     impurity,
@@ -22,6 +23,8 @@ from hypotree import (
     is_proper,
     select_query,
 )
+
+from hypotree.queries import branch_stats
 
 import oracles
 
@@ -245,3 +248,49 @@ class TestBruteForceAgreement:
             expect = oracles.brute_best_attribute(t, rows, name)
             assert got[0].attribute == expect[0]
             assert got[1] == pytest.approx(expect[1], abs=1e-12)
+
+
+def varied_table(rng: random.Random) -> DecisionTable:
+    """A table with gapped, often non-binary and sometimes single-valued columns."""
+    n = rng.randint(1, 4)
+    alphabets = [sorted(rng.sample(range(9), rng.randint(1, 4))) for _ in range(n)]
+    grid = list(itertools.product(*alphabets))
+    rows = rng.sample(grid, rng.randint(1, min(12, len(grid))))
+    decision_values = rng.sample(range(10), rng.randint(1, 4))
+    decisions = [rng.choice(decision_values) for _ in rows]
+    names = tuple(f"f{i + 1}" for i in range(n))
+    return DecisionTable(names, np.array(rows), np.array(decisions))
+
+
+class TestBranchStats:
+    """``branch_stats`` against each branch subtable, made from its definition."""
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_every_branch_matches_its_subtable(self, name):
+        rng = random.Random(2027)
+        measure = get_measure(name)
+        shapes = set()
+        for _ in range(60):
+            table = varied_table(rng)
+            widths = [len(value_set) for value_set in table.value_sets]
+            shapes.add((table.n_decision_values, min(widths), max(widths)))
+            for _ in range(3):
+                size = rng.randint(0, table.n_rows)
+                rows = np.array(sorted(rng.sample(range(table.n_rows), size)), dtype=np.int64)
+                theta = SubtableRef(table, rows)
+                stats = branch_stats(table, rows, measure)
+                expected = {key: [] for key in ("u", "n", "mx", "am")}
+                for i, value_set in enumerate(table.value_sets):
+                    for v in value_set:
+                        branch = theta.apply(EquationSystem([(i, v)]))
+                        counts = branch.decision_counts()
+                        expected["u"].append(measure.evaluate(branch))
+                        expected["n"].append(branch.n_rows)
+                        expected["mx"].append(int(counts.max()))
+                        expected["am"].append(int(np.argmax(counts)))
+                assert {key: getattr(stats, key) for key in expected} == expected
+        # The draw covers one to four decision values, single-valued columns
+        # and columns of more than two values.
+        assert {d for d, _, _ in shapes} == {1, 2, 3, 4}
+        assert any(low == 1 for _, low, _ in shapes)
+        assert any(high > 2 for _, _, high in shapes)

@@ -87,6 +87,24 @@ class TestConstruction:
         with pytest.raises(ConstraintError, match="attribute values must be integers"):
             DecisionTable(("a",), np.array([(1,), (1.2,)]), np.array([0, 1]))
 
+    def test_branch_keys(self):
+        t = DecisionTable(
+            ("a", "b", "c"),
+            np.array([(5, 0, 4), (2, 7, 4), (9, 7, 4), (2, 0, 4)]),
+            np.array([3, 8, 3, 1]),
+        )
+        d = t.n_decision_values
+        keys = t.branch_keys
+        assert keys.dtype == np.int64 and keys.shape == (4, 3)
+        assert not keys.flags.writeable
+        assert np.array_equal(keys // d, t.codes + t.offsets[:-1])
+        assert np.array_equal(keys % d, np.repeat(t.dec_codes[:, None], 3, axis=1))
+        assert keys.tolist() == [[4, 10, 16], [2, 14, 17], [7, 13, 16], [0, 9, 15]]
+
+    def test_branch_keys_of_one_decision(self):
+        t = DecisionTable(("a",), np.array([(4,), (1,)]), np.array([6, 6]))
+        assert t.branch_keys.tolist() == [[1], [0]]
+
     def test_single_row_table_allowed(self):
         t = DecisionTable(("a",), np.array([(7,)]), np.array([3]))
         assert t.n_rows == 1
