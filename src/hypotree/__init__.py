@@ -19,7 +19,6 @@ from .table import (
 )
 from .uncertainty import MEASURES, UncertaintyMeasure, get_measure
 from .queries import (
-    Answer,
     AttributeQuery,
     Hypothesis,
     HypothesisQuery,
@@ -83,7 +82,6 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Answer",
     "AttributeQuery",
     "BoolAggregate",
     "BoolSuiteSpec",

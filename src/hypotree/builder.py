@@ -79,17 +79,17 @@ starts of the tree and on the base table's codes.
 from __future__ import annotations
 
 from array import array
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .table import ConstraintError, DecisionTable, EquationSystem
+from .table import ConstraintError, DecisionTable, _is_integer
 from .queries import (
     AttributeQuery,
     Hypothesis,
     HypothesisQuery,
     Query,
+    _check_tree_type,
     branch_stats,
     select_query_from_stats,
 )
@@ -219,6 +219,8 @@ class DecisionTree:
     ``Routing`` on its first call and keeps it, read-only, for every later
     one.  It reads neither the terminals' labels nor the recorded row
     counts, so checks of those against it see their current values.
+    ``child_edges`` is the one reader of a node's edges; ``derive_rules``
+    and ``simulate`` make equation systems from it.
     """
 
     __slots__ = (
@@ -454,16 +456,6 @@ class DecisionTree:
                 holds = n_differ == 0
                 next_rows.append(r[holds])
                 next_nodes.append(f[holds])
-
-    def edge_systems(self, node: int) -> list[EquationSystem]:
-        """Equation systems of the edges to each child, in child order."""
-        systems = []
-        for _, attr, payload in self.child_edges(node):
-            if attr is None:
-                systems.append(EquationSystem(enumerate(payload)))
-            else:
-                systems.append(EquationSystem([(attr, payload)]))
-        return systems
 
     def serialize(self) -> str:
         """Deterministic one-node-per-line text form, ending in a newline.
@@ -923,16 +915,9 @@ def build_tree(
     """
     if isinstance(measure, str):
         measure = get_measure(measure)
-    if not _is_integer(tree_type) or tree_type not in (1, 2, 3, 4, 5):
-        raise ConstraintError(f"tree type must be an integer 1..5, got {tree_type!r}")
+    _check_tree_type(tree_type)
     if not _is_integer(node_budget):
         raise ConstraintError(f"node budget must be an integer, got {node_budget!r}")
     if table.n_rows == 0:
         raise ConstraintError("cannot build a tree for an empty table")
     return _Builder(table, int(tree_type), measure, int(node_budget)).run()
-
-
-def _is_integer(value) -> bool:
-    """True for Python and NumPy integers, but not for bools."""
-    # A plain int skips the slower abstract-class check.
-    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))

@@ -22,6 +22,7 @@ from .table import DecisionTable
 from .uncertainty import MEASURES
 from .builder import DEFAULT_NODE_BUDGET, DecisionTree, NodeBudgetExceeded, build_tree
 from .metrics import validate
+from .queries import TREE_TYPES
 from .rules import derive_rules, render_rule, rules_to_csv
 from .harness import (
     DataError,
@@ -119,7 +120,7 @@ def _add_table_args(parser: argparse.ArgumentParser) -> None:
         "--decision-column", default=None, metavar="COL",
         help="decision column name or 0-based index (CSV only; default: last)",
     )
-    parser.add_argument("--type", type=int, required=True, choices=(1, 2, 3, 4, 5),
+    parser.add_argument("--type", type=int, required=True, choices=TREE_TYPES,
                         help="tree type 1..5")
     parser.add_argument("--measure", default="me", choices=tuple(MEASURES),
                         help="uncertainty measure (default me)")
@@ -287,7 +288,9 @@ def _experiment_spec(args: argparse.Namespace, tables: tuple[str, ...]) -> Exper
         return ExperimentSpec(
             datasets=tables,
             measures=_parse_list(args.measures),
-            tree_types=_parse_range_list(args.types, "tree type", 1, 5),
+            tree_types=_parse_range_list(
+                args.types, "tree type", TREE_TYPES[0], TREE_TYPES[-1]
+            ),
             metrics=_parse_list(args.metrics),
             node_budget=args.budget,
             workers=args.workers,

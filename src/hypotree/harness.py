@@ -24,8 +24,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .table import DecisionTable
+from .table import DecisionTable, _is_integer
 from .uncertainty import MEASURES
+from .queries import TREE_TYPES
 from .builder import DEFAULT_NODE_BUDGET, DecisionTree, NodeBudgetExceeded, build_tree
 from .metrics import depth, realizable_count
 from .rules import rule_stats
@@ -236,7 +237,7 @@ class ExperimentSpec:
 
     datasets: tuple[str, ...]
     measures: tuple[str, ...] = ("me",)
-    tree_types: tuple[int, ...] = (1, 2, 3, 4, 5)
+    tree_types: tuple[int, ...] = TREE_TYPES
     metrics: tuple[str, ...] = ("h", "L")
     node_budget: int = DEFAULT_NODE_BUDGET
     workers: int = 1
@@ -255,15 +256,17 @@ class ExperimentSpec:
         if not self.tree_types:
             raise ValueError("no tree types given")
         for k in self.tree_types:
-            if k not in (1, 2, 3, 4, 5):
-                raise ValueError(f"tree type must be 1..5, got {k}")
+            if not _is_integer(k) or k not in TREE_TYPES:
+                raise ValueError(f"tree type must be an integer 1..5, got {k!r}")
         if len(set(self.tree_types)) != len(self.tree_types):
             raise ValueError("duplicate tree type")
         _check_metrics(self.metrics)
-        if self.node_budget < 1:
-            raise ValueError("node budget must be positive")
-        if self.workers < 1:
-            raise ValueError("worker count must be positive")
+        if not _is_integer(self.node_budget) or self.node_budget < 1:
+            raise ValueError(
+                f"node budget must be a positive integer, got {self.node_budget!r}"
+            )
+        if not _is_integer(self.workers) or self.workers < 1:
+            raise ValueError(f"worker count must be a positive integer, got {self.workers!r}")
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .table import ConstraintError, DecisionTable, EquationSystem
+from .table import ConstraintError, DecisionTable, EquationSystem, _as_int
 from .builder import TERMINAL, DecisionTree
-from .queries import Answer, Hypothesis
+from .queries import Hypothesis
 
 __all__ = [
     "ComputationState",
@@ -55,7 +55,7 @@ class ComputationState:
     system: EquationSystem
 
 
-Strategy = Callable[[ComputationState, Hypothesis, Sequence[int]], Answer]
+Strategy = Callable[[ComputationState, Hypothesis, Sequence[int]], EquationSystem]
 
 
 def _check_pair(table: DecisionTable, tree: DecisionTree) -> None:
@@ -86,11 +86,11 @@ def realizable_count(table: DecisionTable, tree: DecisionTree) -> int:
 
 def first_counterexample(
     state: ComputationState, hypothesis: Hypothesis, row: Sequence[int]
-) -> Answer:
+) -> EquationSystem:
     """Default strategy: the first truthful counterexample in answer order."""
     for i, delta in enumerate(hypothesis.values):
         if row[i] != delta:
-            return Answer(EquationSystem([(i, int(row[i]))]))
+            return EquationSystem([(i, row[i])])
     raise StrategyError("row satisfies the hypothesis; no counterexample exists")
 
 
@@ -100,9 +100,12 @@ def simulate(
     row: Sequence[int],
     strategy: Strategy | None = None,
 ) -> int:
-    """Decision the tree computes for ``row`` under the given strategy."""
+    """Decision the tree computes for ``row`` (integers) under the given strategy.
+
+    A strategy answers with the equation system of one truthful counterexample.
+    """
     _check_pair(table, tree)
-    values = tuple(int(v) for v in row)
+    values = tuple([_as_int(v, "row values") for v in row])
     if len(values) != table.n:
         raise ConstraintError(f"row has {len(values)} values for {table.n} attributes")
     if strategy is None:
@@ -127,7 +130,7 @@ def simulate(
             system = system.union(hypothesis.system())
             continue
         answer = strategy(ComputationState(node, system), hypothesis, values)
-        items = answer.system.items()
+        items = answer.items()
         if len(items) != 1:
             raise StrategyError("counterexample answers carry exactly one equation")
         attr, value = items[0]
@@ -138,7 +141,7 @@ def simulate(
         node = next((c for c, i, v in edges[1:] if i == attr and v == value), None)
         if node is None:
             raise ConstraintError(f"value {value} of attribute {attr} is outside the table")
-        system = system.union(answer.system)
+        system = system.union(answer)
     return tree.decision(node)
 
 

@@ -1,17 +1,19 @@
 """Attribute and hypothesis queries, their answer sets, and greedy selection.
 
-An attribute query asks for the value of one attribute; its answers are the
-values the attribute takes in the base table.  A hypothesis proposes one
-value per attribute; the answers are the hypothesis itself plus every
-single-equation counterexample drawn from the base table's value sets.  A
-hypothesis is proper when its value vector is a row of the base table.
+An answer is the ``EquationSystem`` it asserts.  An attribute query asks
+for the value of one attribute; its answers are the values the attribute
+takes in the base table.  A hypothesis proposes one value per attribute;
+the answers are the hypothesis itself plus every single-equation
+counterexample drawn from the base table's value sets.  A hypothesis is
+proper when its value vector is a row of the base table.
 
 The impurity of a query on a subtable is the worst-case uncertainty over its
 answers.  Selection is greedy: pick the admissible query of the requested
 kind with minimum impurity.  Ties are deterministic: attributes prefer the
 lowest index, hypothesis construction prefers the canonical minimizer with
 the smallest values, proper hypotheses prefer the earliest row, and when the
-two kinds tie the attribute wins.
+two kinds tie the attribute wins.  The tree type is checked once per call
+of ``select_query`` or ``build_tree``, not per node.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from typing import Union
 
 import numpy as np
 
-from .table import ConstraintError, DecisionTable, EquationSystem, SubtableRef
+from .table import ConstraintError, DecisionTable, EquationSystem, SubtableRef, _is_integer
 from .uncertainty import UncertaintyMeasure
 
 __all__ = [
-    "Answer",
     "AttributeQuery",
     "BranchStats",
     "Hypothesis",
@@ -42,6 +43,12 @@ __all__ = [
 ]
 
 TREE_TYPES = (1, 2, 3, 4, 5)
+
+
+def _check_tree_type(tree_type) -> None:
+    """ConstraintError unless ``tree_type`` is an integer (not a bool) in TREE_TYPES."""
+    if not _is_integer(tree_type) or tree_type not in TREE_TYPES:
+        raise ConstraintError(f"tree type must be an integer 1..5, got {tree_type!r}")
 
 
 @dataclass(frozen=True)
@@ -67,13 +74,6 @@ class HypothesisQuery:
 Query = Union[AttributeQuery, HypothesisQuery]
 
 
-@dataclass(frozen=True)
-class Answer:
-    """One possible answer to a query, as the equation system it asserts."""
-
-    system: EquationSystem
-
-
 def _check_hypothesis(h: Hypothesis, base: DecisionTable) -> None:
     if len(h.values) != base.n:
         raise ConstraintError(
@@ -86,8 +86,8 @@ def _check_hypothesis(h: Hypothesis, base: DecisionTable) -> None:
             )
 
 
-def answers(query: Query, base: DecisionTable) -> list[Answer]:
-    """All possible answers, in canonical order.
+def answers(query: Query, base: DecisionTable) -> list[EquationSystem]:
+    """All possible answers, each the equation system it asserts, in canonical order.
 
     Attribute queries answer with each base-table value of the attribute in
     ascending order.  Hypothesis queries answer with the hypothesis first,
@@ -96,16 +96,15 @@ def answers(query: Query, base: DecisionTable) -> list[Answer]:
     if isinstance(query, AttributeQuery):
         base._check_attribute(query.attribute)
         return [
-            Answer(EquationSystem([(query.attribute, v)]))
-            for v in base.value_sets[query.attribute]
+            EquationSystem([(query.attribute, v)]) for v in base.value_sets[query.attribute]
         ]
     h = query.hypothesis
     _check_hypothesis(h, base)
-    out = [Answer(h.system())]
+    out = [h.system()]
     for i, delta in enumerate(h.values):
         for v in base.value_sets[i]:
             if v != delta:
-                out.append(Answer(EquationSystem([(i, v)])))
+                out.append(EquationSystem([(i, v)]))
     return out
 
 
@@ -117,23 +116,25 @@ def is_proper(h: Hypothesis, base: DecisionTable) -> bool:
 
 
 def is_admissible_attribute(attribute: int, theta: SubtableRef) -> bool:
-    """An attribute may be queried while it is non-constant on the subtable."""
-    return not theta.is_constant(attribute)
+    """An attribute may be queried unless it takes one value on a nonempty subtable."""
+    theta.base._check_attribute(attribute)
+    col = theta.base.values[theta.selected, attribute]
+    return col.size == 0 or bool((col != col[0]).any())
 
 
 def is_admissible_hypothesis(h: Hypothesis, theta: SubtableRef) -> bool:
     """Constant attributes of the subtable pin the hypothesis to their value."""
     _check_hypothesis(h, theta.base)
-    for i, v in enumerate(h.values):
-        col = theta.column_values(i)
-        if col.size and bool((col == col[0]).all()) and int(col[0]) != v:
-            return False
-    return True
+    rows = theta.base.values[theta.selected]
+    if rows.size == 0:
+        return True
+    constant = (rows == rows[0]).all(axis=0)
+    return bool((rows[0] == h.values)[constant].all())
 
 
 def impurity(query: Query, theta: SubtableRef, u: UncertaintyMeasure) -> float:
     """Worst-case uncertainty over the query's answers, from the definition."""
-    return max(u.evaluate(theta.apply(a.system)) for a in answers(query, theta.base))
+    return max(u.evaluate(theta.apply(system)) for system in answers(query, theta.base))
 
 
 class BranchStats:
@@ -286,8 +287,6 @@ def select_query_from_stats(
     The query comes back as an attribute index, or as a hypothesis's tuple of
     value codes (positions in ``table.value_sets``), with its impurity.
     """
-    if tree_type not in TREE_TYPES:
-        raise ConstraintError(f"tree type must be one of {TREE_TYPES}, got {tree_type}")
     summary = _summarize(table, stats)
     if tree_type == 1:
         return _best_attribute_from(summary)
@@ -313,6 +312,7 @@ def select_query(
     Types: 1 attribute only, 2 hypothesis only, 3 better of 1 and 2,
     4 proper hypothesis only, 5 better of 1 and 4.
     """
+    _check_tree_type(tree_type)
     if theta.is_degenerate():
         raise ConstraintError("query selection needs a nondegenerate subtable")
     base = theta.base

@@ -16,7 +16,8 @@ read-only result is kept, so ``rule_stats``, ``derive_rules`` and
 queries and the base table's codes.  ``rule_stats`` stops there, which is
 what the experiment harness uses on hypothesis-type trees whose path counts
 run into the millions; ``derive_rules`` also materializes every rule,
-walking only the nodes some row reaches to build the premises.
+walking only the nodes some row reaches along ``DecisionTree.child_edges``
+and making each premise once, at its terminal, from the path's equations.
 """
 
 from __future__ import annotations
@@ -114,15 +115,17 @@ def derive_rules(table: DecisionTable, tree: DecisionTree) -> RuleSet:
     lengths, coverages = _row_optima(table, tree, routing)
     reached = routing.node_rows.tolist()
     rules = []
-    stack = [(0, EquationSystem())]
+    stack = [(0, ())]
     while stack:
-        node, premise = stack.pop()
+        node, path = stack.pop()
         if tree.is_terminal(node):
+            premise = EquationSystem(path)
             rules.append(DecisionRule(premise, tree.decision(node), reached[node]))
             continue
+        # A holds edge asserts the whole hypothesis, any other edge one equation.
         children = [
-            (child, premise.union(system))
-            for child, system in zip(tree.children(node), tree.edge_systems(node))
+            (child, path + (tuple(enumerate(value)) if attr is None else ((attr, value),)))
+            for child, attr, value in tree.child_edges(node)
             if reached[child]
         ]
         stack.extend(reversed(children))

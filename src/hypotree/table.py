@@ -9,6 +9,7 @@ and safe to share across worker processes.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,8 +30,10 @@ class EquationSystem:
     """An immutable set of ``attribute = value`` equations.
 
     At most one equation per attribute: two different values for the same
-    attribute are rejected at construction.  Equality and hashing ignore the
-    order in which equations were given.
+    attribute are rejected at construction, and so is an attribute or value
+    that an int cast would change (``1.5``, ``"1"``); NumPy integers and
+    whole floats are taken as ints.  Equality and hashing ignore the order
+    in which equations were given.
     """
 
     __slots__ = ("_pairs",)
@@ -38,8 +41,10 @@ class EquationSystem:
     def __init__(self, equations: Iterable[tuple[int, int]] = ()):
         seen: dict[int, int] = {}
         for attribute, value in equations:
-            attribute = int(attribute)
-            value = int(value)
+            if type(attribute) is not int:  # a plain int needs no cast
+                attribute = _as_int(attribute, "equation attributes")
+            if type(value) is not int:
+                value = _as_int(value, "equation values")
             if attribute < 0 or value < 0:
                 raise ConstraintError(
                     f"equation ({attribute}={value}) uses a negative attribute or value"
@@ -52,16 +57,6 @@ class EquationSystem:
             seen[attribute] = value
         self._pairs: tuple[tuple[int, int], ...] = tuple(sorted(seen.items()))
 
-    @property
-    def attributes(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self._pairs)
-
-    def value_for(self, attribute: int) -> int | None:
-        for a, v in self._pairs:
-            if a == attribute:
-                return v
-        return None
-
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._pairs
 
@@ -69,17 +64,11 @@ class EquationSystem:
         """Combine two systems; conflicting values raise ConstraintError."""
         return EquationSystem(self._pairs + other._pairs)
 
-    def render(self, names: Sequence[str]) -> str:
-        return ",".join(f"{names[a]}={v}" for a, v in self._pairs)
-
     def __len__(self) -> int:
         return len(self._pairs)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self._pairs)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self._pairs
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, EquationSystem) and self._pairs == other._pairs
@@ -90,6 +79,23 @@ class EquationSystem:
     def __repr__(self) -> str:
         body = ", ".join(f"f{a + 1}={v}" for a, v in self._pairs)
         return f"EquationSystem({body})"
+
+
+def _is_integer(value) -> bool:
+    """True for Python and NumPy integers, but not for bools."""
+    # A plain int skips the slower abstract-class check.
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; ConstraintError if the cast changes it."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConstraintError(f"{what} must be integers, got {value!r}") from None
+    if out != value:
+        raise ConstraintError(f"{what} must be integers, got {value!r}")
+    return out
 
 
 def _integral(data, what: str) -> np.ndarray:
@@ -237,15 +243,16 @@ class DecisionTable:
 class SubtableRef:
     """A view of selected rows of a base table; indices are strictly ascending.
 
-    The constructor checks a caller's selection.  Views the package derives
-    itself (``DecisionTable.all_rows``, ``apply``) are ascending and in range
-    by construction and skip the checks through ``_derived``.
+    The constructor checks a caller's selection, whose indices must be
+    integers as a table's entries must be.  Views the package derives itself
+    (``DecisionTable.all_rows``, ``apply``) are ascending and in range by
+    construction and skip the checks through ``_derived``.
     """
 
     __slots__ = ("base", "selected", "_counts")
 
     def __init__(self, base: DecisionTable, selected: np.ndarray):
-        sel = np.asarray(selected, dtype=np.int64)
+        sel = _integral(selected, "row indices")
         if sel.ndim != 1:
             raise ConstraintError("row selection must be one-dimensional")
         if sel.size:
@@ -280,40 +287,12 @@ class SubtableRef:
             self._counts.flags.writeable = False
         return self._counts
 
-    def count_decision(self, decision: int) -> int:
-        code = int(np.searchsorted(self.base.decision_values, decision))
-        if (
-            code >= self.base.n_decision_values
-            or int(self.base.decision_values[code]) != decision
-        ):
-            return 0
-        return int(self.decision_counts()[code])
-
-    def most_common_decision(self) -> int:
-        """Most frequent decision; ties go to the smallest value; empty gives 0."""
-        if self.n_rows == 0:
-            return 0
-        counts = self.decision_counts()
-        return int(self.base.decision_values[int(np.argmax(counts))])
-
     def is_degenerate(self) -> bool:
         """True when empty or when all rows share one decision."""
         if self.n_rows == 0:
             return True
         counts = self.decision_counts()
         return int(counts.max()) == self.n_rows
-
-    def is_constant(self, attribute: int) -> bool:
-        """True when the attribute takes exactly one value on this subtable."""
-        self.base._check_attribute(attribute)
-        if self.n_rows == 0:
-            return False
-        col = self.base.values[self.selected, attribute]
-        return bool((col == col[0]).all())
-
-    def column_values(self, attribute: int) -> np.ndarray:
-        self.base._check_attribute(attribute)
-        return self.base.values[self.selected, attribute]
 
     def apply(self, system: EquationSystem) -> "SubtableRef":
         """Rows of this view that satisfy every equation of the system."""

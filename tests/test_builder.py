@@ -141,15 +141,6 @@ class TestStructure:
         with pytest.raises(ConstraintError):
             tree.child_edges(1)
 
-    def test_edge_systems_match_child_edges(self, t0):
-        from hypotree import EquationSystem
-
-        tree = build_tree(t0, 2, "me")
-        systems = tree.edge_systems(0)
-        assert systems[0] == EquationSystem([(0, 0), (1, 0), (2, 0)])
-        assert systems[1] == EquationSystem([(0, 1)])
-        assert len(systems) == len(tree.children(0))
-
 
 class TestLevelStarts:
     """Each level's id range against a breadth-first walk of ``child_edges``."""

@@ -76,8 +76,8 @@ class TestTicTacToe:
 
     def test_class_sizes(self):
         t = tic_tac_toe()
-        assert int(t.all_rows().count_decision(0)) == 626
-        assert int(t.all_rows().count_decision(1)) == 332
+        assert t.decision_values.tolist() == [0, 1]
+        assert t.all_rows().decision_counts().tolist() == [626, 332]
 
     def test_decision_matches_recomputed_winner(self):
         t = tic_tac_toe()

@@ -221,6 +221,37 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(**kw)
 
+    @pytest.mark.parametrize(
+        "kw,message",
+        [
+            (dict(tree_types=(1.0,)), "tree type must be an integer"),
+            (dict(tree_types=(True,)), "tree type must be an integer"),
+            (dict(tree_types=(2, np.float64(3))), "tree type must be an integer"),
+            (dict(tree_types=("1",)), "tree type must be an integer"),
+            (dict(node_budget=2.5), "node budget must be a positive integer"),
+            (dict(node_budget=100.0), "node budget must be a positive integer"),
+            (dict(node_budget=True), "node budget must be a positive integer"),
+            (dict(node_budget=None), "node budget must be a positive integer"),
+            (dict(workers=1.5), "worker count must be a positive integer"),
+            (dict(workers=True), "worker count must be a positive integer"),
+            (dict(workers="2"), "worker count must be a positive integer"),
+        ],
+    )
+    def test_non_integers_rejected_before_the_grid_runs(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(datasets=("x",), **kw)
+
+    def test_numpy_integers_accepted(self, t0_csv):
+        spec = ExperimentSpec(
+            datasets=(str(t0_csv),),
+            tree_types=(np.int64(1), np.int8(2)),
+            node_budget=np.int32(100),
+            workers=np.int64(1),
+        )
+        cells = run_matrix(spec)
+        assert [c.tree_type for c in cells] == [1, 1, 2, 2]
+        assert not any(c.aborted for c in cells)
+
 
 class TestRunMatrix:
     def test_metrics_on_t0(self, t0_csv):

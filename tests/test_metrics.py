@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hypotree import (
-    Answer,
     ConstraintError,
     DecisionTable,
     EquationSystem,
@@ -112,7 +111,7 @@ class TestSimulate:
             best = None
             for i, delta in enumerate(hypothesis.values):
                 if row[i] != delta:
-                    best = Answer(EquationSystem([(i, int(row[i]))]))
+                    best = EquationSystem([(i, row[i])])
             return best
 
         assert simulate(t0, tree, (0, 1, 1), last_counterexample) == 1
@@ -134,6 +133,23 @@ class TestSimulate:
         with pytest.raises(ConstraintError):
             simulate(t0, tree, (0, 0))  # wrong arity
 
+    @pytest.mark.parametrize("tree_type", [1, 2])
+    @pytest.mark.parametrize(
+        "row", [(0.7, 1.2, 0), (1, 1, 0.5), ("1", "0", "1"), (0, None, 1), (float("nan"), 0, 0)]
+    )
+    def test_row_values_must_be_integers(self, t0, tree_type, row):
+        tree = build_tree(t0, tree_type, "me")
+        with pytest.raises(ConstraintError, match="row values must be integers"):
+            simulate(t0, tree, row)
+
+    @pytest.mark.parametrize("tree_type", [1, 2])
+    def test_integral_rows_accepted(self, t0, tree_type):
+        tree = build_tree(t0, tree_type, "me")
+        for r in range(t0.n_rows):
+            whole = [float(v) for v in t0.row_values(r)]
+            assert simulate(t0, tree, whole) == int(t0.decisions[r])
+            assert simulate(t0, tree, t0.values[r]) == int(t0.decisions[r])
+
     @pytest.mark.parametrize("tree_type", [1, 2])  # attribute nodes, hypothesis nodes
     @pytest.mark.parametrize("row", [(0, 5), (5, 0), (7, 7)])
     def test_value_outside_the_table(self, xor, tree_type, row):
@@ -146,10 +162,10 @@ class TestSimulate:
         tree = build_tree(t0, 2, "me")
 
         def two_equations(state, hypothesis, row):
-            return Answer(EquationSystem([(0, 1), (1, 1)]))
+            return EquationSystem([(0, 1), (1, 1)])
 
         def untruthful(state, hypothesis, row):
-            return Answer(EquationSystem([(2, 1)]))  # row has f3=0
+            return EquationSystem([(2, 1)])  # row has f3=0
 
         with pytest.raises(StrategyError):
             simulate(t0, tree, (1, 1, 0), two_equations)
@@ -159,8 +175,8 @@ class TestSimulate:
         # f2, so answering f2 is not a counterexample there.
         def f2_then_f1(state, hypothesis, row):
             if state.node == 0:
-                return Answer(EquationSystem([(1, 1)]))
-            return Answer(EquationSystem([(1, 1)]))
+                return EquationSystem([(1, 1)])
+            return EquationSystem([(1, 1)])
 
         with pytest.raises(StrategyError):
             simulate(t0, tree, (1, 1, 0), f2_then_f1)
@@ -171,7 +187,7 @@ class TestSimulate:
         h = Hypothesis((0, 1, 0))
         state = ComputationState(0, EquationSystem())
         answer = first_counterexample(state, h, (1, 1, 1))
-        assert answer.system == EquationSystem([(0, 1)])
+        assert answer == EquationSystem([(0, 1)])
         with pytest.raises(StrategyError):
             first_counterexample(state, h, (0, 1, 0))
 

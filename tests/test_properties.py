@@ -1,12 +1,21 @@
-"""Property-based checks over generated tables: both expansion paths build one tree.
+"""Property-based checks over generated tables: build paths, metrics and rules.
 
 ``hypothesis`` draws small tables with gapped, often non-binary alphabets,
 single-valued attributes, one to four decision values and, now and then, a
 copied column that ties its original in every statistic.  Each table is
-built for tree types 1-5 under ``me`` and ``ent`` twice: with every level
-expanded node by node and with every level batched, in small chunks.  The
-two trees must serialize identically and pass ``validate``.  The draw is
-derandomized, so every run checks the same tables.
+built for tree types 1-5 under ``me`` and ``ent``:
+
+- twice, with every level expanded node by node and with every level
+  batched, in small chunks; the two trees must serialize identically and
+  pass ``validate``;
+- once more, to check the tree's metrics and rules against the
+  definitional walks of ``oracles``: ``depth``, ``realizable_count`` and
+  ``rule_stats``; every ``derive_rules`` rule must be sound with exact
+  coverage on the rows its premise selects; and each row's ``rule_stats``
+  optima must be the shortest premise and widest coverage over the rules
+  whose premise the row satisfies.
+
+The draw is derandomized, so every run checks the same tables.
 """
 
 import itertools
@@ -16,7 +25,17 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import hypotree.builder as builder
-from hypotree import DecisionTable, build_tree, validate
+from hypotree import (
+    DecisionTable,
+    build_tree,
+    depth,
+    derive_rules,
+    realizable_count,
+    rule_stats,
+    validate,
+)
+
+import oracles
 
 NARROW_ONLY, WIDE_ALWAYS = 1 << 30, 1  # widths from which a level is batched
 
@@ -57,3 +76,30 @@ def test_narrow_and_batched_levels_build_the_same_tree(table):
         assert batched._hyp_codes == narrow._hyp_codes
         assert np.array_equal(batched.path_row_counts, narrow.path_row_counts)
         assert validate(table, narrow).ok and validate(table, batched).ok
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(tables())
+def test_metrics_and_rules_match_the_oracles(table):
+    for tree_type, measure in itertools.product((1, 2, 3, 4, 5), ("me", "ent")):
+        tree = build_tree(table, tree_type, measure)
+        assert depth(tree) == oracles.oracle_depth(tree)
+        assert realizable_count(table, tree) == oracles.oracle_realizable(table, tree)
+        stats = rule_stats(table, tree)
+        lengths, coverages = oracles.oracle_rule_stats(table, tree)
+        assert np.array_equal(stats.row_lengths, lengths)
+        assert np.array_equal(stats.row_coverages, coverages)
+
+        rules = derive_rules(table, tree)
+        assert np.array_equal(rules.row_lengths, lengths)
+        assert np.array_equal(rules.row_coverages, coverages)
+        shortest = np.full(table.n_rows, np.iinfo(np.int64).max)
+        widest = np.zeros(table.n_rows, dtype=np.int64)
+        for rule in rules.rules:
+            rows = table.subtable(rule.premise).selected
+            assert len(rows) == rule.coverage > 0
+            assert (table.decisions[rows] == rule.decision).all()
+            shortest[rows] = np.minimum(shortest[rows], rule.length)
+            widest[rows] = np.maximum(widest[rows], rule.coverage)
+        assert np.array_equal(shortest, stats.row_lengths)
+        assert np.array_equal(widest, stats.row_coverages)

@@ -32,13 +32,9 @@ ME = get_measure("me")
 GINI = get_measure("gini")
 
 
-def systems(query, base):
-    return [a.system for a in answers(query, base)]
-
-
 class TestAnswers:
     def test_attribute_answers_ascending(self, t0):
-        assert systems(AttributeQuery(0), t0) == [
+        assert answers(AttributeQuery(0), t0) == [
             EquationSystem([(0, 0)]),
             EquationSystem([(0, 1)]),
         ]
@@ -49,14 +45,14 @@ class TestAnswers:
             np.array([(5, 0), (0, 0), (2, 1)]),
             np.array([0, 1, 1]),
         )
-        assert systems(AttributeQuery(0), t) == [
+        assert answers(AttributeQuery(0), t) == [
             EquationSystem([(0, 0)]),
             EquationSystem([(0, 2)]),
             EquationSystem([(0, 5)]),
         ]
 
     def test_hypothesis_answers_canonical_order(self, t0):
-        got = systems(HypothesisQuery(Hypothesis((0, 1, 0))), t0)
+        got = answers(HypothesisQuery(Hypothesis((0, 1, 0))), t0)
         assert got == [
             EquationSystem([(0, 0), (1, 1), (2, 0)]),
             EquationSystem([(0, 1)]),
@@ -74,13 +70,13 @@ class TestAnswers:
             answers(AttributeQuery(2), t0),
             oracles.attribute_answer_rows(t0, rows, 2),
         ):
-            assert list(t0.subtable(a.system).selected) == expect
+            assert list(t0.subtable(a).selected) == expect
         h = (0, 0, 0)
         for a, expect in zip(
             answers(HypothesisQuery(Hypothesis(h)), t0),
             oracles.hypothesis_answer_rows(t0, rows, h),
         ):
-            assert list(t0.subtable(a.system).selected) == expect
+            assert list(t0.subtable(a).selected) == expect
 
     def test_invalid_hypotheses_rejected(self, t0):
         with pytest.raises(ConstraintError):
@@ -111,6 +107,16 @@ class TestAdmissibility:
         assert is_admissible_hypothesis(Hypothesis((0, 1, 0)), sub)
         assert not is_admissible_hypothesis(Hypothesis((1, 0, 0)), sub)
         assert is_admissible_hypothesis(Hypothesis((1, 0, 0)), t0.all_rows())
+
+    def test_admissibility_on_an_empty_subtable(self, t0):
+        empty = t0.subtable(EquationSystem([(0, 0), (2, 0), (1, 1)]))
+        assert empty.n_rows == 0
+        assert all(is_admissible_attribute(i, empty) for i in range(t0.n))
+        assert is_admissible_hypothesis(Hypothesis((1, 0, 0)), empty)
+        with pytest.raises(ConstraintError):
+            is_admissible_attribute(3, empty)
+        with pytest.raises(ConstraintError):
+            is_admissible_attribute(-1, t0.all_rows())
 
 
 class TestImpurityAndSelection:
@@ -173,6 +179,11 @@ class TestImpurityAndSelection:
     def test_bad_tree_type_rejected(self, t0):
         with pytest.raises(ConstraintError):
             select_query(t0.all_rows(), ME, 6)
+
+    @pytest.mark.parametrize("bad", [0, 2.0, True, "3", None])
+    def test_tree_type_must_be_an_integer(self, t0, bad):
+        with pytest.raises(ConstraintError, match="tree type must be an integer"):
+            select_query(t0.all_rows(), ME, bad)
 
 
 def random_table(rng: random.Random) -> DecisionTable:

@@ -3,14 +3,21 @@
 import numpy as np
 import pytest
 
-from hypotree import ConstraintError, DecisionTable, EquationSystem, Hypothesis, is_proper
+from hypotree import (
+    ConstraintError,
+    DecisionTable,
+    EquationSystem,
+    Hypothesis,
+    is_admissible_attribute,
+    is_proper,
+)
+from hypotree.table import SubtableRef
 
 
 class TestEquationSystem:
     def test_items_sorted_and_deduplicated(self):
         s = EquationSystem([(2, 5), (0, 1), (2, 5)])
         assert s.items() == ((0, 1), (2, 5))
-        assert s.attributes == (0, 2)
         assert len(s) == 2
         assert list(s) == [(0, 1), (2, 5)]
         assert (2, 5) in s and (2, 4) not in s
@@ -26,21 +33,25 @@ class TestEquationSystem:
         with pytest.raises(ConstraintError):
             a.union(EquationSystem([(0, 2)]))
 
-    def test_value_for(self):
-        s = EquationSystem([(1, 4)])
-        assert s.value_for(1) == 4
-        assert s.value_for(0) is None
-
     def test_equality_and_hash(self):
         a = EquationSystem([(0, 1), (2, 3)])
         b = EquationSystem([(2, 3), (0, 1)])
         assert a == b and hash(a) == hash(b)
         assert a != EquationSystem([(0, 1)])
 
-    def test_render(self):
-        s = EquationSystem([(2, 1), (0, 0)])
-        assert s.render(("f1", "f2", "f3")) == "f1=0,f3=1"
-        assert EquationSystem().render(("f1",)) == ""
+    def test_integral_entries_only(self):
+        s = EquationSystem([(np.int64(0), 1.0), (2.0, np.int8(3)), (True, 4)])
+        assert s.items() == ((0, 1), (1, 4), (2, 3))
+        assert all(type(x) is int for pair in s for x in pair)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(0, 1.5), (0.5, 1), (0, np.float64(2.5)), (0, "1"), ("0", 1),
+         (0, float("nan")), (0, float("inf")), (0, None)],
+    )
+    def test_a_value_an_int_cast_would_change_is_rejected(self, pair):
+        with pytest.raises(ConstraintError, match="must be integers"):
+            EquationSystem([pair])
 
 
 class TestConstruction:
@@ -130,26 +141,23 @@ class TestSubtables:
         # counts are indexed by decision code: decision values (1, 2)
         assert list(full.decision_counts()) == [2, 2]
         assert list(t0.decision_values) == [1, 2]
-        assert full.count_decision(1) == 2
-        assert full.count_decision(2) == 2
-        assert full.count_decision(3) == 0  # not a decision of the table
         assert full.n_rows == 4
-        # tie between decisions 1 and 2 -> smallest wins
-        assert full.most_common_decision() == 1
+        branch = t0.subtable(EquationSystem([(0, 1)]))
+        assert list(branch.decision_counts()) == [0, 2]
 
-    def test_most_common_of_empty_is_zero(self, t0):
+    def test_empty_subtable_is_degenerate(self, t0):
         empty = t0.subtable(EquationSystem([(0, 0), (2, 0), (1, 1)]))
         assert empty.n_rows == 0
-        assert empty.most_common_decision() == 0
+        assert list(empty.decision_counts()) == [0, 0]
         assert empty.is_degenerate()
 
     def test_degenerate_and_constant(self, t0):
         branch = t0.subtable(EquationSystem([(0, 1)]))  # decisions 2,2
         assert branch.is_degenerate()
         assert not t0.all_rows().is_degenerate()
-        assert branch.is_constant(0)
-        assert not branch.is_constant(1)
-        assert list(branch.column_values(2)) == [1, 0]
+        # f1 is constant on the branch, f2 is not
+        assert not is_admissible_attribute(0, branch)
+        assert is_admissible_attribute(1, branch)
 
     def test_value_set_helper(self, t0):
         assert t0.value_set(1) == (0, 1)
@@ -157,8 +165,6 @@ class TestSubtables:
             t0.value_set(3)
 
     def test_selected_indices_validated(self, t0):
-        from hypotree.table import SubtableRef
-
         with pytest.raises(ConstraintError):
             SubtableRef(t0, np.array([1, 0]))  # not increasing
         with pytest.raises(ConstraintError):
@@ -170,6 +176,19 @@ class TestSubtables:
         with pytest.raises(ConstraintError):
             SubtableRef(t0, np.array([[0, 1]]))  # not one-dimensional
         assert SubtableRef(t0, [0, 3]) == t0.all_rows().apply(EquationSystem([(2, 0)]))
+
+    @pytest.mark.parametrize(
+        "selected", [[0.9, 2.5], [0, 1.5], np.array([0.5]), ["0", "2"], [float("nan")]]
+    )
+    def test_selected_indices_must_be_integers(self, t0, selected):
+        with pytest.raises(ConstraintError, match="row indices must be integers"):
+            SubtableRef(t0, selected)
+
+    def test_integral_selections_accepted(self, t0):
+        expect = t0.all_rows().apply(EquationSystem([(2, 0)]))
+        assert SubtableRef(t0, [0.0, 3.0]) == expect
+        assert SubtableRef(t0, np.array([0, 3], dtype=np.int8)) == expect
+        assert SubtableRef(t0, []).n_rows == 0
 
     def test_subtable_equality(self, t0):
         a = t0.subtable(EquationSystem([(0, 0)]))
