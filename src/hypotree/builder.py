@@ -38,11 +38,13 @@ each offset by its node, gives every node's (branch, decision) counts, the
 query choice reads a padded (node x attribute x value) view of the branch
 uncertainties, and the children are laid out on a (node x answer) grid
 whose nonzero order is the arena's child order.  Proper hypotheses (types 4
-and 5) are found by a threshold search over packed row bitsets, 64 base rows
-to a word: one cumulative AND over the attributes, sorted by their largest
-branch uncertainty, gives the rows under each candidate impurity, and the
-lowest set bit of the least nonempty one is the earliest row of least
-impurity (``_Builder._best_proper``).  The level is split into chunks of
+and 5) are found on both kinds of level by the threshold search of the
+``queries`` module docstring, on per-(attribute, value) row bitsets made
+once per build: Python ints, row ``r`` at bit ``r``, for a narrow node
+(``queries._row_bitsets``, held by the builder), and packed ``uint64``
+words, 64 rows to a word, for a wide level (``_BranchLayout``), where one
+cumulative AND over the sorted attributes serves every node of a chunk
+(``_Builder._best_proper``).  The level is split into chunks of
 whole nodes holding at most ``_CHUNK_CELLS`` cells (a proper search holds
 one per attribute and word of rows, not per base row), so its temporaries
 stay small however wide it is.  Narrow levels cost less node by node; both
@@ -90,6 +92,7 @@ from .queries import (
     HypothesisQuery,
     Query,
     _check_tree_type,
+    _row_bitsets,
     branch_stats,
     select_query_from_stats,
 )
@@ -527,6 +530,7 @@ class _Builder:
         self.offsets = table.offsets.tolist()
         self.decision_values = table.decision_values.tolist()
         self._layout: _BranchLayout | None = None
+        self._row_bits: list[list[int]] | None = None
 
     def run(self) -> DecisionTree:
         table = self.table
@@ -536,6 +540,8 @@ class _Builder:
             root, narrow = (TERMINAL, self.decision_values[0]), []
         else:
             root, narrow = (_PENDING, -1), [(0, np.arange(table.n_rows, dtype=np.int64))]
+            if self.tree_type in (4, 5):  # the root is a narrow node
+                self._row_bits = _row_bitsets(table)
         self.kind.append(root[0])
         self.label.append(root[1])
         self.first.append(-1)
@@ -577,7 +583,7 @@ class _Builder:
         """Expand one node of a narrow level; its pending children join ``pending``."""
         table = self.table
         stats = branch_stats(table, rows, self.measure)
-        choice, _ = select_query_from_stats(table, stats, self.tree_type)
+        choice, _ = select_query_from_stats(table, stats, self.tree_type, self._row_bits)
         offsets = self.offsets
 
         # Children's (attribute, global branch) in child order, after any holds child.
@@ -785,21 +791,14 @@ class _Builder:
         return attr_imp > hyp_imp, attr, hcodes  # equal impurity goes to the attribute
 
     def _best_proper(self, max1, max2, best_pos, pinned, const_pos):
-        """Each node's first base row of least impurity, as in ``_best_proper_from``.
+        """Each node's first base row of least impurity and that impurity.
 
-        A row's impurity is ``max(M2, max1[i] over the attributes i whose
-        argmax value it misses)``, with ``M2`` the largest ``max2``, and it
-        is infinite off a constant attribute's pinned value.  So for any
-        ``v >= M2`` the rows of impurity at most ``v`` are those on the
-        argmax value of every attribute with ``max1 > v`` and on every pin:
-        with the attributes sorted by ``max1`` descending, one cumulative
-        AND of packed row bitsets gives that set for every prefix.  A prefix
-        of length ``k`` is a threshold when it ends the ``K`` attributes
-        above ``M2`` (``v = M2``) or ends a run of equal ``max1`` (``v`` the
-        next one's ``max1``); the longest threshold with a nonempty set has
-        the least ``v``, which is the least impurity, and its rows are the
-        rows of that impurity.  Row ``r`` is bit ``r % 64`` of word
-        ``r // 64``, so the lowest set bit is the earliest such row.
+        The threshold search of the ``queries`` module docstring, on packed
+        words for every node of the chunk at once: ``feasible[:, k]`` holds
+        the rows on the pins and the first ``k`` sorted argmax values, made
+        by one cumulative AND.  Row ``r`` is bit ``r % 64`` of word
+        ``r // 64``, so the lowest set bit of the first nonzero word is the
+        earliest row.
         """
         lay = self._layout
         f, n = max1.shape

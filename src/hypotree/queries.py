@@ -14,6 +14,27 @@ lowest index, hypothesis construction prefers the canonical minimizer with
 the smallest values, proper hypotheses prefer the earliest row, and when the
 two kinds tie the attribute wins.  The tree type is checked once per call
 of ``select_query`` or ``build_tree``, not per node.
+
+A proper hypothesis is found by a threshold search, not by scoring every
+row.  Let ``max1[i]`` and ``max2[i]`` be the largest and second-largest
+branch uncertainty of attribute ``i`` and ``M2`` the largest ``max2``.  A
+row's impurity is ``max(M2, max1[i] over the attributes i whose first most
+uncertain value it misses)``, and a row off the value of an attribute
+constant on the subtable is not admissible.  So for any ``v >= M2`` the
+admissible rows of impurity at most ``v`` are those on every pinned value
+and on the most uncertain value of every attribute with ``max1 > v``.  With
+the attributes sorted by ``max1``, descending, the rows on the pins and on
+the first ``k`` of those values are the rows under a threshold when ``k``
+ends the ``K`` attributes above ``M2`` (``v = M2``) or a run of equal
+``max1`` (``v`` the next one's ``max1``); ties are never split, so their
+order is immaterial.  The longest threshold prefix whose row set is
+nonempty has the least ``v``, which is the least impurity, and the lowest
+row of that set is the earliest row of least impurity.  The search takes
+one AND per pin and per prefix step over per-(attribute, value) row
+bitsets, row ``r`` at bit ``r``, held in two forms: Python ints on a narrow
+node (``_best_proper_from``, over ``_row_bitsets``) and packed ``uint64``
+words, 64 rows to a word, for every node of a wide level at once
+(``builder._Builder._best_proper``).
 """
 
 from __future__ import annotations
@@ -259,33 +280,65 @@ def _best_hypothesis_from(summary: tuple[list, ...]) -> tuple[tuple[int, ...], f
     return tuple(codes), v
 
 
+def _row_bitsets(table: DecisionTable) -> list[list[int]]:
+    """``bits[i][c]``: the rows whose attribute ``i`` has code ``c``, row ``r`` at bit ``r``."""
+    out = []
+    for column, value_set in zip(table.codes.T.tolist(), table.value_sets):
+        bits = [0] * len(value_set)
+        row = 1
+        for c in column:
+            bits[c] |= row
+            row <<= 1
+        out.append(bits)
+    return out
+
+
 def _best_proper_from(
-    table: DecisionTable, summary: tuple[list, ...]
+    table: DecisionTable, row_bits: list[list[int]], summary: tuple[list, ...]
 ) -> tuple[tuple[int, ...], float]:
     """Value codes of the minimum-impurity admissible hypothesis among base-table rows.
 
-    Scans rows in table order; the first row achieving the minimum wins.
+    The threshold search of the module docstring on ``row_bits``, the
+    table's ``_row_bitsets``; the earliest row of least impurity wins.
     """
     max1, max2, best_pos, _, pinned = summary
-    covered = table.codes == np.array(best_pos)[None, :]
-    imp = np.where(covered, np.array(max2)[None, :], np.array(max1)[None, :]).max(axis=1)
-    for i, pin in enumerate(pinned):
+    rows = -1  # every base row: the bits of a negative int are set without end
+    for bits, pin in zip(row_bits, pinned):
         if pin >= 0:
-            imp = np.where(table.codes[:, i] == pin, imp, np.inf)
-    row = int(np.argmin(imp))
-    value = float(imp[row])
-    if not np.isfinite(value):
+            rows &= bits[pin]
+    if not rows:
         raise ConstraintError("no admissible proper hypothesis")
+    m2 = max(max2)
+    # The attributes above M2 by max1, descending, each with its argmax rows;
+    # M2 ends the list.
+    steps = sorted(
+        [(top, bits[pos]) for top, bits, pos in zip(max1, row_bits, best_pos) if top > m2],
+        reverse=True,
+    )
+    steps.append((m2, 0))
+    best, value = rows, steps[0][0]
+    for (top, bits), (below, _) in zip(steps, steps[1:]):
+        rows &= bits
+        if not rows:
+            break
+        if below < top:  # a threshold: the prefix ends a run of equal max1
+            best, value = rows, below
+    row = (best & -best).bit_length() - 1
     return tuple(table.codes[row].tolist()), value
 
 
 def select_query_from_stats(
-    table: DecisionTable, stats: BranchStats, tree_type: int
+    table: DecisionTable,
+    stats: BranchStats,
+    tree_type: int,
+    row_bits: list[list[int]] | None,
 ) -> tuple[int | tuple[int, ...], float]:
     """Pick the minimum-impurity query of the kind the tree type allows.
 
     The query comes back as an attribute index, or as a hypothesis's tuple of
     value codes (positions in ``table.value_sets``), with its impurity.
+    ``row_bits`` is the table's ``_row_bitsets`` for the proper hypotheses of
+    types 4 and 5; the other types read nothing from it.
     """
     summary = _summarize(table, stats)
     if tree_type == 1:
@@ -293,12 +346,12 @@ def select_query_from_stats(
     if tree_type == 2:
         return _best_hypothesis_from(summary)
     if tree_type == 4:
-        return _best_proper_from(table, summary)
+        return _best_proper_from(table, row_bits, summary)
     attr, attr_imp = _best_attribute_from(summary)
     if tree_type == 3:
         codes, hyp_imp = _best_hypothesis_from(summary)
     else:
-        codes, hyp_imp = _best_proper_from(table, summary)
+        codes, hyp_imp = _best_proper_from(table, row_bits, summary)
     if attr_imp <= hyp_imp:  # equal impurity goes to the attribute
         return attr, attr_imp
     return codes, hyp_imp
@@ -317,7 +370,8 @@ def select_query(
         raise ConstraintError("query selection needs a nondegenerate subtable")
     base = theta.base
     stats = branch_stats(base, theta.selected, u)
-    choice, imp = select_query_from_stats(base, stats, tree_type)
+    row_bits = _row_bitsets(base) if tree_type in (4, 5) else None
+    choice, imp = select_query_from_stats(base, stats, tree_type, row_bits)
     if type(choice) is int:
         return AttributeQuery(choice), imp
     values = tuple([vs[c] for vs, c in zip(base.value_sets, choice)])

@@ -119,7 +119,8 @@ def derive_rules(table: DecisionTable, tree: DecisionTree) -> RuleSet:
     while stack:
         node, path = stack.pop()
         if tree.is_terminal(node):
-            premise = EquationSystem(path)
+            # One reached path's pairs are plain ints and never conflict.
+            premise = EquationSystem._derived(path)
             rules.append(DecisionRule(premise, tree.decision(node), reached[node]))
             continue
         # A holds edge asserts the whole hypothesis, any other edge one equation.

@@ -33,7 +33,9 @@ class EquationSystem:
     attribute are rejected at construction, and so is an attribute or value
     that an int cast would change (``1.5``, ``"1"``); NumPy integers and
     whole floats are taken as ints.  Equality and hashing ignore the order
-    in which equations were given.
+    in which equations were given.  Systems the package derives itself
+    (``derive_rules``' premises) hold plain ints without conflicts by
+    construction and skip the checks through ``_derived``.
     """
 
     __slots__ = ("_pairs",)
@@ -56,6 +58,13 @@ class EquationSystem:
                 )
             seen[attribute] = value
         self._pairs: tuple[tuple[int, int], ...] = tuple(sorted(seen.items()))
+
+    @classmethod
+    def _derived(cls, pairs: Iterable[tuple[int, int]]) -> "EquationSystem":
+        """A system of plain-int, conflict-free pairs, repeats allowed, taken unchecked."""
+        system = cls.__new__(cls)
+        system._pairs = tuple(sorted(set(pairs)))
+        return system
 
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._pairs

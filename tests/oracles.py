@@ -105,8 +105,8 @@ def brute_best_hypothesis(table: DecisionTable, rows, name: str):
     )
 
 
-def brute_best_proper_hypothesis(table: DecisionTable, rows, name: str):
-    """Minimum impurity over admissible base-table rows."""
+def brute_proper_row(table: DecisionTable, rows, name: str) -> int:
+    """The earliest admissible base row of least hypothesis impurity on ``rows``."""
     const = {}
     for i in range(table.n):
         seen = {int(table.values[r][i]) for r in rows}
@@ -118,9 +118,15 @@ def brute_best_proper_hypothesis(table: DecisionTable, rows, name: str):
         if any(h[i] != v for i, v in const.items()):
             continue
         imp = hypothesis_impurity(table, rows, h, name)
-        if best is None or imp < best:
-            best = imp
-    return best
+        if best is None or imp < best[1]:
+            best = (r, imp)
+    return best[0]
+
+
+def brute_best_proper_hypothesis(table: DecisionTable, rows, name: str):
+    """Minimum impurity over admissible base-table rows."""
+    row = tuple(int(v) for v in table.values[brute_proper_row(table, rows, name)])
+    return hypothesis_impurity(table, rows, row, name)
 
 
 def brute_best_attribute(table: DecisionTable, rows, name: str):

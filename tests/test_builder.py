@@ -344,7 +344,7 @@ class TestExpansionPaths:
                 assert _build(table, tree_type, measure, BATCHED, monkeypatch, budget) \
                     == _build(table, tree_type, measure, PER_NODE, monkeypatch, budget)
 
-    @pytest.mark.parametrize("tree_type", [2, 5])
+    @pytest.mark.parametrize("tree_type", [2, 4, 5])
     def test_wide_levels_of_a_real_table(self, tree_type, monkeypatch):
         table = ttt_centre(1)
         ref = _build(table, tree_type, "ent", PER_NODE, monkeypatch)
@@ -352,6 +352,49 @@ class TestExpansionPaths:
         got = build_tree(table, tree_type, "ent")
         assert got.serialize() == ref.serialize()
         assert got._hyp_codes == ref._hyp_codes
+
+
+class TestProperHypotheses:
+    """Each proper hypothesis a tree asks, against the definition on its node's rows."""
+
+    @pytest.mark.parametrize("wide_from", [PER_NODE, BATCHED], ids=["per-node", "batched"])
+    @pytest.mark.parametrize("measure", ["me", "rme", "ent"])
+    @pytest.mark.parametrize("tree_type", [4, 5])
+    def test_the_earliest_row_of_least_impurity(self, tree_type, measure, wide_from,
+                                                monkeypatch):
+        asked = 0
+        for table in expansion_tables():
+            tree = _build(table, tree_type, measure, wide_from, monkeypatch)
+            values = [tuple(row) for row in table.values.tolist()]
+            # Each node's subtable, recomputed from the root along its edges.
+            stack = [(0, list(range(table.n_rows)))]
+            while stack:
+                node, rows = stack.pop()
+                if tree.is_terminal(node):
+                    continue
+                edges = tree.child_edges(node)
+                if edges[0][1] is None:  # a hypothesis, which type 4 asks at every node
+                    want = values[oracles.brute_proper_row(table, rows, measure)]
+                    if measure == "ent":
+                        # An entropy's float sum depends on the order of its
+                        # counts, so rows tied by definition can differ by an
+                        # ulp in the package: compare their impurities.
+                        assert oracles.hypothesis_impurity(table, rows, edges[0][2], measure) \
+                            == pytest.approx(
+                                oracles.hypothesis_impurity(table, rows, want, measure),
+                                abs=1e-12,
+                            )
+                    else:
+                        assert edges[0][2] == want
+                    asked += 1
+                else:
+                    assert tree_type == 5
+                for child, attr, value in edges:
+                    if attr is None:
+                        stack.append((child, [r for r in rows if values[r] == value]))
+                    else:
+                        stack.append((child, [r for r in rows if values[r][attr] == value]))
+        assert asked > 0
 
 
 @functools.cache
