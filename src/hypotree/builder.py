@@ -56,8 +56,7 @@ A hypothesis is stored once, as its row of value codes (positions in the
 base table's ``value_sets``) in one flat array; a hypothesis node's label is
 its row number there.  Both ways of expanding a level choose a hypothesis as
 codes and store those codes as they are.  Values are read back from the codes
-only where a caller sees them: ``DecisionTree.query``, ``child_edges`` and
-``serialize``.
+only where a caller sees them: ``DecisionTree.query`` and ``serialize``.
 
 ``DecisionTree.serialize`` writes the text form from the arena columns and
 the stored codes, never through the per-node accessors: a terminal's line
@@ -207,8 +206,8 @@ class DecisionTree:
     """An arena-backed tree over a base table.
 
     Read-only numpy views of the arena's four columns and of the level
-    starts are exposed for the metrics, made on first use; per-node
-    accessors materialize query and edge objects on demand.  Node 0 is the
+    starts are exposed for the metrics, made on first use; the per-node
+    accessors materialize query objects on demand.  Node 0 is the
     root.  ``path_row_counts[i]`` is the number of base-table rows matching
     the equations on the path to node ``i``.  A working node's child count
     comes from its query (see the module docstring); ``children`` and
@@ -217,13 +216,13 @@ class DecisionTree:
     tree has ``len(level_starts) - 2`` levels below the root.  Hypotheses
     are kept only as value codes, one row of ``base.n`` codes each, which
     the routing pass reads as they are; a hypothesis node's label is its
-    row.  ``query``, ``child_edges`` and ``serialize`` turn the codes into
-    values through ``base.value_sets``.  ``route_rows`` computes the tree's
-    ``Routing`` on its first call and keeps it, read-only, for every later
-    one.  It reads neither the terminals' labels nor the recorded row
-    counts, so checks of those against it see their current values.
-    ``child_edges`` is the one reader of a node's edges; ``derive_rules``
-    and ``simulate`` make equation systems from it.
+    row.  ``query`` and ``serialize`` turn the codes into values through
+    ``base.value_sets``.  A node's edges are its query's answers
+    (``queries.answers``) in order over ``children``.  ``route_rows``
+    computes the tree's ``Routing`` on its first call and keeps it,
+    read-only, for every later one.  It reads neither the terminals' labels
+    nor the recorded row counts, so checks of those against it see their
+    current values.
     """
 
     __slots__ = (
@@ -327,34 +326,6 @@ class DecisionTree:
         if self._kind[node] == WORKING_ATTR:
             return range(first, first + len(base.value_sets[self._label[node]]))
         return range(first, first + 1 + base.total_branches - base.n)
-
-    def child_edges(self, node: int) -> list[tuple[int, int | None, object]]:
-        """Children with lean edge descriptors.
-
-        Yields ``(child_id, attribute, value)`` for single-equation edges and
-        ``(child_id, None, hypothesis_values)`` for the hypothesis-holds edge
-        (always the first child of a hypothesis node).
-        """
-        kind = self._kind[node]
-        first = self._first[node]
-        base = self.base
-        out: list[tuple[int, int | None, object]] = []
-        if kind == WORKING_ATTR:
-            i = self._label[node]
-            for pos, v in enumerate(base.value_sets[i]):
-                out.append((first + pos, i, v))
-            return out
-        if kind == WORKING_HYP:
-            values = self._hypothesis(self._label[node])
-            out.append((first, None, values))
-            cid = first + 1
-            for i, delta in enumerate(values):
-                for v in base.value_sets[i]:
-                    if v != delta:
-                        out.append((cid, i, v))
-                        cid += 1
-            return out
-        raise ConstraintError(f"node {node} is terminal and has no edges")
 
     def route_rows(self) -> Routing:
         """Route every base-table row along all of its truthful paths.

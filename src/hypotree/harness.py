@@ -26,7 +26,7 @@ import numpy as np
 
 from .table import DecisionTable, _is_integer
 from .uncertainty import MEASURES
-from .queries import TREE_TYPES
+from .queries import TREE_TYPES, _check_tree_type
 from .builder import DEFAULT_NODE_BUDGET, DecisionTree, NodeBudgetExceeded, build_tree
 from .metrics import depth, realizable_count
 from .rules import rule_stats
@@ -256,8 +256,7 @@ class ExperimentSpec:
         if not self.tree_types:
             raise ValueError("no tree types given")
         for k in self.tree_types:
-            if not _is_integer(k) or k not in TREE_TYPES:
-                raise ValueError(f"tree type must be an integer 1..5, got {k!r}")
+            _check_tree_type(k)
         if len(set(self.tree_types)) != len(self.tree_types):
             raise ValueError("duplicate tree type")
         _check_metrics(self.metrics)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .table import ConstraintError, DecisionTable, EquationSystem, _as_int
 from .builder import TERMINAL, DecisionTree
-from .queries import Hypothesis
+from .queries import AttributeQuery, Hypothesis, answers
 
 __all__ = [
     "ComputationState",
@@ -103,6 +103,8 @@ def simulate(
     """Decision the tree computes for ``row`` (integers) under the given strategy.
 
     A strategy answers with the equation system of one truthful counterexample.
+    A node's children follow its query's answers (``queries.answers``), so
+    each step takes the child at its answer's position there.
     """
     _check_pair(table, tree)
     values = tuple([_as_int(v, "row values") for v in row])
@@ -113,34 +115,29 @@ def simulate(
     node = 0
     system = EquationSystem()
     while not tree.is_terminal(node):
-        edges = tree.child_edges(node)
-        if edges[0][1] is not None:  # attribute query
-            attr = edges[0][1]
-            matches = [c for c, _, v in edges if v == values[attr]]
-            if not matches:
-                raise ConstraintError(
-                    f"value {values[attr]} of attribute {attr} is outside the table"
+        query = tree.query(node)
+        if isinstance(query, AttributeQuery):
+            attr, value = query.attribute, values[query.attribute]
+            answer = EquationSystem([(attr, value)])
+        elif query.hypothesis.values == values:
+            answer = query.hypothesis.system()
+        else:
+            answer = strategy(ComputationState(node, system), query.hypothesis, values)
+            items = answer.items()
+            if len(items) != 1:
+                raise StrategyError("counterexample answers carry exactly one equation")
+            attr, value = items[0]
+            if values[attr] != value or query.hypothesis.values[attr] == value:
+                raise StrategyError(
+                    f"answer {attr}={value} is not a truthful counterexample"
                 )
-            node = matches[0]
-            system = system.union(EquationSystem([(attr, values[attr])]))
-            continue
-        hypothesis = Hypothesis(edges[0][2])
-        if hypothesis.values == values:
-            node = edges[0][0]
-            system = system.union(hypothesis.system())
-            continue
-        answer = strategy(ComputationState(node, system), hypothesis, values)
-        items = answer.items()
-        if len(items) != 1:
-            raise StrategyError("counterexample answers carry exactly one equation")
-        attr, value = items[0]
-        if values[attr] != value or hypothesis.values[attr] == value:
-            raise StrategyError(
-                f"answer {attr}={value} is not a truthful counterexample"
-            )
-        node = next((c for c, i, v in edges[1:] if i == attr and v == value), None)
-        if node is None:
-            raise ConstraintError(f"value {value} of attribute {attr} is outside the table")
+        try:
+            at = answers(query, tree.base).index(answer)
+        except ValueError:  # only a single-equation answer can miss
+            raise ConstraintError(
+                f"value {value} of attribute {attr} is outside the table"
+            ) from None
+        node = tree.children(node)[at]
         system = system.union(answer)
     return tree.decision(node)
 

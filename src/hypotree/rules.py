@@ -16,8 +16,8 @@ read-only result is kept, so ``rule_stats``, ``derive_rules`` and
 queries and the base table's codes.  ``rule_stats`` stops there, which is
 what the experiment harness uses on hypothesis-type trees whose path counts
 run into the millions; ``derive_rules`` also materializes every rule,
-walking only the nodes some row reaches along ``DecisionTree.child_edges``
-and making each premise once, at its terminal, from the path's equations.
+walking only the nodes some row reaches with the attributes on each path
+and making each premise once, at its terminal, from one row routed there.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .table import ConstraintError, DecisionTable, EquationSystem
-from .builder import WORKING_HYP, DecisionTree, Routing
+from .builder import TERMINAL, WORKING_ATTR, WORKING_HYP, DecisionTree, Routing
 from .metrics import _check_pair
 
 __all__ = [
@@ -109,26 +109,51 @@ def _row_optima(
 
 
 def derive_rules(table: DecisionTable, tree: DecisionTree) -> RuleSet:
-    """One rule per complete path, left to right, with per-row optima."""
+    """One rule per complete path, left to right, with per-row optima.
+
+    The walk follows reached children only, carrying each path's attributes:
+    an attribute node adds its own, a holds child every attribute, and
+    counterexample child ``j`` the attribute of the ``j``-th counterexample,
+    whatever the hypothesis.  Every answer on a path is truthful for each row
+    routed along it, so the premise's values are read off any such row.
+    """
     _check_pair(table, tree)
     routing = tree.route_rows()
     lengths, coverages = _row_optima(table, tree, routing)
     reached = routing.node_rows.tolist()
+    routed = np.zeros(tree.node_count, dtype=np.int64)
+    routed[routing.terminals] = routing.rows
+    routed = routed.tolist()
+    values = table.values.tolist()
+    every = tuple(range(table.n))
+    equations = {}  # a routed row's equations, shared by every premise read off it
+    kinds, labels, first = tree._kind, tree._label, tree._first
+    sizes = [len(vs) for vs in table.value_sets]
+    counterexamples = tuple(i for i, vs in enumerate(table.value_sets) for _ in vs[1:])
     rules = []
     stack = [(0, ())]
     while stack:
         node, path = stack.pop()
-        if tree.is_terminal(node):
+        kind = kinds[node]
+        if kind == TERMINAL:
+            row = routed[node]
+            pairs = equations.get(row)
+            if pairs is None:
+                pairs = equations[row] = tuple(zip(every, values[row]))
             # One reached path's pairs are plain ints and never conflict.
-            premise = EquationSystem._derived(path)
-            rules.append(DecisionRule(premise, tree.decision(node), reached[node]))
+            premise = EquationSystem._derived(map(pairs.__getitem__, path))
+            rules.append(DecisionRule(premise, labels[node], reached[node]))
             continue
-        # A holds edge asserts the whole hypothesis, any other edge one equation.
-        children = [
-            (child, path + (tuple(enumerate(value)) if attr is None else ((attr, value),)))
-            for child, attr, value in tree.child_edges(node)
-            if reached[child]
-        ]
+        child = first[node]
+        if kind == WORKING_ATTR:
+            i = labels[node]
+            step = path + (i,)
+            children = [(c, step) for c in range(child, child + sizes[i]) if reached[c]]
+        else:
+            children = [(child, every)] if reached[child] else []
+            children += [
+                (c, path + (i,)) for c, i in enumerate(counterexamples, child + 1) if reached[c]
+            ]
         stack.extend(reversed(children))
     return RuleSet(row_lengths=lengths, row_coverages=coverages, rules=rules)
 

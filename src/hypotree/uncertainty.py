@@ -42,8 +42,13 @@ def _rme_rows(counts: np.ndarray) -> np.ndarray:
 
 
 def _ent_rows(counts: np.ndarray) -> np.ndarray:
-    n = counts.sum(axis=1).astype(np.float64)
     cf = counts.astype(np.float64)
+    # Summed in ascending count order, so count rows that are permutations of
+    # each other give the same double and tie exactly, as they do by definition.
+    # Two terms add the same either way round, so only wider rows are sorted.
+    if cf.shape[1] > 2:
+        cf.sort(axis=1)
+    n = cf.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = cf / n[:, None]
         terms = np.where(cf > 0, -p * np.log2(p), 0.0)

@@ -2,7 +2,10 @@
 
 Everything here is written definitionally (explicit enumeration, pair
 counting, exhaustive search) and deliberately shares no code with the
-package under test.
+package under test.  A tree is read only through its per-node accessors
+(``query``, ``children``, ``is_terminal``, ``decision``); its edges are
+paired with answers enumerated here (``edges``).  From ``hypotree`` this
+module imports ``DecisionTable`` alone, which ``test_oracles.py`` checks.
 """
 
 from __future__ import annotations
@@ -144,6 +147,28 @@ def brute_best_attribute(table: DecisionTable, rows, name: str):
 # --- trees ------------------------------------------------------------------
 
 
+def edges(tree, node):
+    """``(child, attribute, value)`` for each edge of a working node, in answer order.
+
+    Enumerated here from the node's query and child ids: an attribute
+    query's answers are its values in ascending order; a hypothesis's are
+    the holds answer ``(child, None, hypothesis)``, then every
+    counterexample by (attribute, value).
+    """
+    value_sets = tree.base.value_sets
+    query = tree.query(node)
+    if hasattr(query, "attribute"):
+        i = query.attribute
+        answers = [(i, v) for v in value_sets[i]]
+    else:
+        h = query.hypothesis.values
+        answers = [(None, h)]
+        answers += [(i, v) for i, vs in enumerate(value_sets) for v in vs if v != h[i]]
+    children = tree.children(node)
+    assert len(children) == len(answers), f"node {node}: one child per answer"
+    return [(child, attr, value) for child, (attr, value) in zip(children, answers)]
+
+
 def truthful_reach(table: DecisionTable, tree, row_values):
     """Every node reachable when all answers must be truthful for the row."""
     row = tuple(int(v) for v in row_values)
@@ -154,19 +179,10 @@ def truthful_reach(table: DecisionTable, tree, row_values):
         reached.add(node)
         if tree.is_terminal(node):
             continue
-        edges = tree.child_edges(node)
-        if edges and edges[0][1] is None:  # hypothesis node
-            (h_child, _, hypothesis), rest = edges[0], edges[1:]
-            if tuple(hypothesis) == row:
-                stack.append(h_child)
-            else:
-                for child, attr, value in rest:
-                    if row[attr] == value:
-                        stack.append(child)
-        else:
-            for child, attr, value in edges:
-                if row[attr] == value:
-                    stack.append(child)
+        for child, attr, value in edges(tree, node):
+            # The holds answer is truthful only for the hypothesis itself.
+            if (value == row) if attr is None else (row[attr] == value):
+                stack.append(child)
     return reached
 
 
@@ -182,7 +198,7 @@ def truthful_terminals(table: DecisionTable, tree, row_values):
 def oracle_rule_stats(table: DecisionTable, tree):
     """Per-row shortest premise and widest coverage, by a per-node walk.
 
-    Each node's rows are recomputed with value masks along ``child_edges``;
+    Each node's rows are recomputed with value masks along its ``edges``;
     a premise is as long as its single-equation edges, or ``table.n`` when
     the path confirms a hypothesis.  Returns ``(lengths, coverages)``.
     """
@@ -199,7 +215,7 @@ def oracle_rule_stats(table: DecisionTable, tree):
             lengths[rows] = np.minimum(lengths[rows], length)
             coverages[rows] = np.maximum(coverages[rows], len(rows))
             continue
-        for child, attr, payload in tree.child_edges(node):
+        for child, attr, payload in edges(tree, node):
             if attr is None:
                 sub = rows[(values[rows] == np.asarray(payload)).all(axis=1)]
                 stack.append((child, sub, singles, True))
@@ -210,7 +226,7 @@ def oracle_rule_stats(table: DecisionTable, tree):
 
 
 def oracle_depth(tree) -> int:
-    """Most working nodes on a root-to-terminal path, by walking ``child_edges``."""
+    """Most working nodes on a root-to-terminal path, by walking ``edges``."""
     deepest = 0
     stack = [(0, 0)]
     while stack:
@@ -218,13 +234,13 @@ def oracle_depth(tree) -> int:
         if tree.is_terminal(node):
             deepest = max(deepest, queries)
             continue
-        for child, _, _ in tree.child_edges(node):
+        for child, _, _ in edges(tree, node):
             stack.append((child, queries + 1))
     return deepest
 
 
 def oracle_levels(tree) -> list[int]:
-    """Each node's number of edges from the root, by a breadth-first walk of ``child_edges``."""
+    """Each node's number of edges from the root, by a breadth-first walk of ``edges``."""
     levels = {0: 0}
     frontier = [0]
     while frontier:
@@ -232,7 +248,7 @@ def oracle_levels(tree) -> list[int]:
         for node in frontier:
             if tree.is_terminal(node):
                 continue
-            for child, _, _ in tree.child_edges(node):
+            for child, _, _ in edges(tree, node):
                 levels[child] = levels[node] + 1
                 below.append(child)
         frontier = below
@@ -246,8 +262,32 @@ def oracle_realizable(table: DecisionTable, tree) -> int:
     return len(union)
 
 
+def oracle_rules(table: DecisionTable, tree):
+    """``(premise, decision, coverage)`` per nonempty complete path, left to right.
+
+    A path's premise is the union of its edges' equations, as sorted
+    (attribute, value) pairs, and its coverage the number of rows satisfying
+    every one of them; paths no row satisfies are left out.
+    """
+    values = table.values.tolist()
+    rules = []
+    stack = [(0, frozenset())]
+    while stack:
+        node, premise = stack.pop()
+        covered = [row for row in values if all(row[a] == v for a, v in premise)]
+        if not covered:
+            continue
+        if tree.is_terminal(node):
+            rules.append((tuple(sorted(premise)), tree.decision(node), len(covered)))
+            continue
+        for child, attr, value in reversed(edges(tree, node)):
+            step = enumerate(value) if attr is None else [(attr, value)]
+            stack.append((child, premise | frozenset(step)))
+    return rules
+
+
 def oracle_serialize(tree) -> str:
-    """The tree's text form, formatted node by node from ``child_edges``."""
+    """The tree's text form, formatted node by node from ``edges``."""
     names = tree.base.attribute_names
 
     def hypothesis(values):
@@ -258,10 +298,10 @@ def oracle_serialize(tree) -> str:
         if tree.is_terminal(node):
             out.append(f"{node} T {tree.decision(node)}\n")
             continue
-        edges = tree.child_edges(node)
-        _, attr, payload = edges[0]
+        out_edges = edges(tree, node)
+        _, attr, payload = out_edges[0]
         words = [f"{node} W {names[attr] if attr is not None else hypothesis(payload)}"]
-        for child, attr, payload in edges:
+        for child, attr, payload in out_edges:
             label = hypothesis(payload) if attr is None else f"{names[attr]}={payload}"
             words.append(f"[{label}]:{child}")
         out.append(" ".join(words) + "\n")

@@ -10,10 +10,14 @@ built for tree types 1-5 under ``me`` and ``ent``:
   pass ``validate``;
 - once more, to check the tree's metrics and rules against the
   definitional walks of ``oracles``: ``depth``, ``realizable_count`` and
-  ``rule_stats``; every ``derive_rules`` rule must be sound with exact
-  coverage on the rows its premise selects; and each row's ``rule_stats``
-  optima must be the shortest premise and widest coverage over the rules
-  whose premise the row satisfies.
+  ``rule_stats``; ``derive_rules`` must list exactly ``oracle_rules``, the
+  premise, decision and coverage of each nonempty path, left to right; every
+  rule must be sound; and each row's ``rule_stats`` optima must be the
+  shortest premise and widest coverage over the rules whose premise the row
+  satisfies;
+- and once more to ``simulate`` every row under the first and the last
+  truthful counterexample: each run must end at one of the row's truthful
+  terminals (``oracles.truthful_terminals``) and decide the row's decision.
 
 The draw is derandomized, so every run checks the same tables.
 """
@@ -27,11 +31,14 @@ from hypothesis import given, settings, strategies as st
 import hypotree.builder as builder
 from hypotree import (
     DecisionTable,
+    EquationSystem,
     build_tree,
     depth,
     derive_rules,
+    first_counterexample,
     realizable_count,
     rule_stats,
+    simulate,
     validate,
 )
 
@@ -93,13 +100,35 @@ def test_metrics_and_rules_match_the_oracles(table):
         rules = derive_rules(table, tree)
         assert np.array_equal(rules.row_lengths, lengths)
         assert np.array_equal(rules.row_coverages, coverages)
+        assert [
+            (rule.premise.items(), rule.decision, rule.coverage) for rule in rules.rules
+        ] == oracles.oracle_rules(table, tree)
         shortest = np.full(table.n_rows, np.iinfo(np.int64).max)
         widest = np.zeros(table.n_rows, dtype=np.int64)
         for rule in rules.rules:
             rows = table.subtable(rule.premise).selected
-            assert len(rows) == rule.coverage > 0
             assert (table.decisions[rows] == rule.decision).all()
             shortest[rows] = np.minimum(shortest[rows], rule.length)
             widest[rows] = np.maximum(widest[rows], rule.coverage)
         assert np.array_equal(shortest, stats.row_lengths)
         assert np.array_equal(widest, stats.row_coverages)
+
+
+def last_counterexample(state, hypothesis, row):
+    """The truthful counterexample on the last attribute where the row differs."""
+    i = max(i for i, v in enumerate(hypothesis.values) if row[i] != v)
+    return EquationSystem([(i, row[i])])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(tables())
+def test_simulation_ends_at_a_truthful_terminal_deciding_the_row(table):
+    for tree_type, measure in itertools.product((1, 2, 3, 4, 5), ("me", "ent")):
+        tree = build_tree(table, tree_type, measure)
+        for row, decision in zip(table.values.tolist(), table.decisions.tolist()):
+            labels = {
+                tree.decision(node) for node in oracles.truthful_terminals(table, tree, row)
+            }
+            for strategy in (first_counterexample, last_counterexample):
+                got = simulate(table, tree, row, strategy)
+                assert got in labels and got == decision

@@ -1,5 +1,6 @@
 """Uncertainty measures: pinned values, identities, and oracle agreement."""
 
+import itertools
 import math
 import random
 
@@ -111,6 +112,14 @@ class TestCountInterfaces:
         got = m.of_count_matrix(mat)
         for i in range(3):
             assert got[i] == pytest.approx(m.of_counts(mat[i]))
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_permuted_count_rows_tie_exactly(self, name):
+        # A measure sees only the multiset of counts, so greedy ties between
+        # branches must not depend on the order of their decision columns.
+        rows = np.array(list(itertools.permutations([2, 4, 3, 0, 7])))
+        got = get_measure(name).of_count_matrix(rows)
+        assert (got == got[0]).all()
 
     def test_unknown_measure_rejected(self):
         with pytest.raises((KeyError, ValueError)):
