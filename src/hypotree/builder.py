@@ -70,11 +70,20 @@ before the next block starts, so a tree of millions of nodes never holds one
 string object per line.
 
 ``DecisionTree.route_rows`` sends every base-table row down all of its
-truthful paths.  A tree does not change after the build, so the pass runs
-once per tree: its ``Routing`` is kept on the tree, read-only, and serves
-``validate``, ``rule_stats`` and ``derive_rules`` alike.  It depends only on
-the kinds, first children, working nodes' labels, hypothesis codes and level
-starts of the tree and on the base table's codes.
+truthful paths, one level at a time.  A tree does not change after the
+build, so the pass runs once per tree: its ``Routing`` is kept on the tree,
+read-only, and serves ``validate``, ``rule_stats`` and ``derive_rules``
+alike.  It depends only on the kinds, first children, working nodes'
+labels, hypothesis codes and level starts of the tree and on the base
+table's codes.  As in the build, a level's width picks how it is done.  A
+level of fewer than ``_WIDE_ROUTING`` (row, node) occurrences routes in
+plain Python, node by node, over the arena's ``array`` columns and the
+rows' code tuples; a wider one in a few NumPy passes over all of its
+occurrences.  The switch goes one way: from the first level that reaches
+the threshold, which is the root for a table of that many rows, the rest
+of the tree routes in NumPy.  So a small table's tree touches NumPy only
+to return its arrays, where the NumPy passes' fixed cost of about ten calls
+a level would dominate; both ways give the same ``Routing``.
 """
 
 from __future__ import annotations
@@ -124,6 +133,14 @@ _ROUTE_CHUNK_CELLS = 1 << 18
 # each block of ids is joined before the next is rendered, so a large tree's
 # text is never held as one string per line.
 _SERIALIZE_BLOCK = 4096
+
+# Levels of the routing pass with at least this many (row, node) occurrences
+# route in NumPy, narrower ones in plain Python (``DecisionTree.route_rows``).
+# Set from a measured crossover: routing the trees of random tables of 8-63
+# rows and 2-9 attributes, plain Python was cheaper for roots of fewer than
+# 16 rows and NumPy for roots of 24 rows or more.  A level of a few dozen
+# occurrences already costs NumPy little more than a level of one.
+_WIDE_ROUTING = 24
 
 # Levels with at least this many nodes to expand are built in a few NumPy
 # passes over the whole level; narrower ones node by node, which costs less
@@ -338,17 +355,24 @@ class DecisionTree:
         codes.
 
         The pass moves (row, node) occurrences down one level at a time and
-        counts each level's rows per node over that level's id range.  At
-        an attribute node a row takes the child of its value.  At a
-        hypothesis node a row equal to the hypothesis takes the holds child;
-        any other row takes one counterexample child per attribute where it
-        differs from the hypothesis.  Counterexample children follow the
-        holds child in (attribute, value) order without the hypothesis's own
-        value, so the child of attribute ``i`` with value code ``c`` sits at
+        counts each level's rows per node over that level's id range; an
+        occurrence outside that range raises ``ValueError``.  At an
+        attribute node a row takes the child of its value.  At a hypothesis
+        node a row equal to the hypothesis takes the holds child; any other
+        row takes one counterexample child per attribute where it differs
+        from the hypothesis.  Counterexample children follow the holds child
+        in (attribute, value) order without the hypothesis's own value, so
+        the child of attribute ``i`` with value code ``c`` sits at
         ``first + 1 + offsets[i] - i + c - (c > hypothesis code)``.
-        Hypothesis levels are expanded in chunks of at most
-        ``_ROUTE_CHUNK_CELLS`` (row, attribute) cells, comparing codes in
-        the narrow dtype the hypotheses are stored in.
+
+        Levels of fewer than ``_WIDE_ROUTING`` occurrences route in plain
+        Python, their occurrences grouped by node, until the first level
+        that reaches it; from there on the occurrences are int64 arrays and
+        each level takes a few NumPy passes, which cost less once a level
+        holds a few dozen occurrences (``_WIDE_ROUTING`` records the
+        measured crossover).  NumPy levels expand hypothesis nodes in chunks
+        of at most ``_ROUTE_CHUNK_CELLS`` (row, attribute) cells, comparing
+        codes in the narrow dtype the hypotheses are stored in.
         """
         if self._routing is None:
             routing = self._route()
@@ -359,10 +383,82 @@ class DecisionTree:
 
     def _route(self) -> Routing:
         """The routing pass itself, as ``route_rows`` describes it."""
+        base = self.base
+        n_rows = base.n_rows
+        starts = self._starts.tolist()
+        if n_rows >= _WIDE_ROUTING:
+            return self._route_wide(
+                starts, np.arange(n_rows), np.zeros(n_rows, dtype=np.int64),
+                np.zeros(len(self._kind), dtype=np.int64), [], [],
+            )
+        kind, label, first, hyp_codes = self._kind, self._label, self._first, self._hyp_codes
+        n = base.n
+        row_codes = list(base._row_index)  # each row's codes, in row order
+        skip, offset = [], 1  # each attribute's ``1 + offsets[i] - i``
+        for i, values in enumerate(base.value_sets):
+            skip.append(offset - i)
+            offset += len(values)
+        node_rows = [0] * len(kind)
+        ends_rows: list[int] = []
+        ends_nodes: list[int] = []
+        # The level's occurrences, grouped by node: (node, its rows).
+        level: list[tuple[int, list[int]]] = [(0, list(range(n_rows)))]
+        occurrences = n_rows
+        for depth, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            if occurrences >= _WIDE_ROUTING:  # the rest of the tree routes in NumPy
+                rows = [r for _, rs in level for r in rs]
+                nodes = [v for v, rs in level for _ in rs]
+                rows, nodes, node_rows, ends_rows, ends_nodes = (
+                    np.array(part, dtype=np.int64)
+                    for part in (rows, nodes, node_rows, ends_rows, ends_nodes)
+                )
+                return self._route_wide(
+                    starts[depth:], rows, nodes, node_rows, [ends_rows], [ends_nodes]
+                )
+            below: list[tuple[int, list[int]]] = []
+            for v, rs in level:
+                if not lo <= v < hi:
+                    raise ValueError(f"node {v} reached outside its level's ids {lo}..{hi - 1}")
+                node_rows[v] += len(rs)
+                k = kind[v]
+                if k == TERMINAL:
+                    ends_rows += rs
+                    ends_nodes += [v] * len(rs)
+                    continue
+                f = first[v]
+                children: dict[int, list[int]] = {}
+                if k == WORKING_ATTR:
+                    a = label[v]
+                    for r in rs:
+                        children.setdefault(f + row_codes[r][a], []).append(r)
+                else:
+                    at = label[v] * n
+                    hypothesis = hyp_codes[at : at + n]
+                    for r in rs:
+                        holds = True
+                        for c, h, s in zip(row_codes[r], hypothesis, skip):
+                            if c != h:
+                                children.setdefault(f + s + c - (c > h), []).append(r)
+                                holds = False
+                        if holds:
+                            children.setdefault(f, []).append(r)
+                below += children.items()
+            if not below:
+                break
+            level = below
+            occurrences = sum([len(rs) for _, rs in below])
+        parts = (node_rows, ends_rows, ends_nodes)
+        return Routing(*(np.array(part, dtype=np.int64) for part in parts))
+
+    def _route_wide(self, starts, rows, nodes, node_rows, ends_rows, ends_nodes) -> Routing:
+        """Route levels ``starts[0]`` onwards in NumPy, from their (row, node) occurrences.
+
+        ``node_rows`` holds the counts of the levels above, and ``ends_rows``
+        and ``ends_nodes`` their terminal occurrences, as arrays.
+        """
         kinds, label, _, first, _ = self._arena()
         base = self.base
         codes = base.codes
-        n_rows = len(codes)
         hyp = None
         if len(self._hyp_codes):  # codes and hypotheses in one narrow dtype
             typecode = self._hyp_codes.typecode
@@ -371,12 +467,6 @@ class DecisionTree:
                 self._as_np(self._hyp_codes, typecode).reshape(-1, base.n),
                 1 + base.offsets[:-1] - np.arange(base.n),
             )
-        rows = np.arange(n_rows)
-        nodes = np.zeros(n_rows, dtype=np.int64)
-        node_rows = np.zeros(len(kinds), dtype=np.int64)
-        ends_rows: list[np.ndarray] = []
-        ends_nodes: list[np.ndarray] = []
-        starts = self._starts.tolist()
         for lo, hi in zip(starts, starts[1:]):
             # A node outside the level makes bincount or the assignment raise.
             node_rows[lo:hi] = np.bincount(nodes - lo, minlength=hi - lo)

@@ -9,7 +9,7 @@ counts, so counting is a single pass.
 
 Simulation replays one row through the tree.  At a hypothesis node whose
 hypothesis the row falsifies, a strategy picks which truthful counterexample
-to answer.  Validation takes every choice at once: one level-batched routing
+to answer.  Validation takes every choice at once: one level-by-level routing
 pass (``DecisionTree.route_rows``) sends each row down all of its truthful
 paths, and the same (row, node) occurrences serve as the structural check
 (recomputed subtable sizes, terminal labels) and as the exhaustive truthful
@@ -29,7 +29,7 @@ import numpy as np
 
 from .table import ConstraintError, DecisionTable, EquationSystem, _as_int
 from .builder import TERMINAL, DecisionTree
-from .queries import AttributeQuery, Hypothesis, answers
+from .queries import AttributeQuery, Hypothesis
 
 __all__ = [
     "ComputationState",
@@ -103,8 +103,12 @@ def simulate(
     """Decision the tree computes for ``row`` (integers) under the given strategy.
 
     A strategy answers with the equation system of one truthful counterexample.
-    A node's children follow its query's answers (``queries.answers``), so
-    each step takes the child at its answer's position there.
+    A node's children follow its query's answers (``queries.answers``), and
+    each step takes the child at its answer's position there, worked out
+    from the value codes: an attribute answer's position is its value's
+    code, the holds answer's 0, and counterexample ``(i, v)`` sits at
+    ``1 + offsets[i] - i + c - (c > h)`` for ``v``'s code ``c`` and the
+    hypothesis's code ``h``, as in ``DecisionTree.route_rows``.
     """
     _check_pair(table, tree)
     values = tuple([_as_int(v, "row values") for v in row])
@@ -112,6 +116,8 @@ def simulate(
         raise ConstraintError(f"row has {len(values)} values for {table.n} attributes")
     if strategy is None:
         strategy = first_counterexample
+    value_sets = tree.base.value_sets
+    offsets = tree.base.offsets.tolist()
     node = 0
     system = EquationSystem()
     while not tree.is_terminal(node):
@@ -119,27 +125,35 @@ def simulate(
         if isinstance(query, AttributeQuery):
             attr, value = query.attribute, values[query.attribute]
             answer = EquationSystem([(attr, value)])
+            at = _code(value_sets, attr, value)
         elif query.hypothesis.values == values:
-            answer = query.hypothesis.system()
+            answer, at = query.hypothesis.system(), 0
         else:
             answer = strategy(ComputationState(node, system), query.hypothesis, values)
             items = answer.items()
             if len(items) != 1:
                 raise StrategyError("counterexample answers carry exactly one equation")
             attr, value = items[0]
-            if values[attr] != value or query.hypothesis.values[attr] == value:
+            own = query.hypothesis.values[attr]
+            if values[attr] != value or own == value:
                 raise StrategyError(
                     f"answer {attr}={value} is not a truthful counterexample"
                 )
-        try:
-            at = answers(query, tree.base).index(answer)
-        except ValueError:  # only a single-equation answer can miss
-            raise ConstraintError(
-                f"value {value} of attribute {attr} is outside the table"
-            ) from None
+            code = _code(value_sets, attr, value)
+            at = 1 + offsets[attr] - attr + code - (code > value_sets[attr].index(own))
         node = tree.children(node)[at]
         system = system.union(answer)
     return tree.decision(node)
+
+
+def _code(value_sets, attr: int, value: int) -> int:
+    """Position of ``value`` among attribute ``attr``'s values in the base table."""
+    try:
+        return value_sets[attr].index(value)
+    except ValueError:
+        raise ConstraintError(
+            f"value {value} of attribute {attr} is outside the table"
+        ) from None
 
 
 @dataclass

@@ -127,8 +127,9 @@ class DecisionTable:
     so arbitrary value alphabets cost nothing extra.  One private row index,
     built at construction, maps each row's tuple of codes to its row number:
     a table whose index has fewer entries than rows repeats a row and is
-    rejected, and ``is_proper`` and the builder find a hypothesis's row by
-    looking up its codes.
+    rejected, ``is_proper`` and the builder find a hypothesis's row by
+    looking up its codes, and the routing pass reads the rows' code tuples
+    off its keys, which are in row order.
 
     ``branch_keys[r, i]`` is row ``r``'s cell in a flat (branch, decision)
     count array: ``(codes[r, i] + offsets[i]) * d + dec_codes[r]`` with ``d``

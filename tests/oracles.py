@@ -169,9 +169,15 @@ def edges(tree, node):
     return [(child, attr, value) for child, (attr, value) in zip(children, answers)]
 
 
-def truthful_reach(table: DecisionTable, tree, row_values):
-    """Every node reachable when all answers must be truthful for the row."""
+def truthful_reach(table: DecisionTable, tree, row_values, known=None):
+    """Every node reachable when all answers must be truthful for the row.
+
+    ``known`` maps working nodes to their ``edges``; it is filled as nodes
+    are first walked, so walks of several rows over one tree can share it.
+    """
     row = tuple(int(v) for v in row_values)
+    if known is None:
+        known = {}
     reached: set[int] = set()
     stack = [0]
     while stack:
@@ -179,7 +185,10 @@ def truthful_reach(table: DecisionTable, tree, row_values):
         reached.add(node)
         if tree.is_terminal(node):
             continue
-        for child, attr, value in edges(tree, node):
+        out = known.get(node)
+        if out is None:
+            out = known[node] = edges(tree, node)
+        for child, attr, value in out:
             # The holds answer is truthful only for the hypothesis itself.
             if (value == row) if attr is None else (row[attr] == value):
                 stack.append(child)
@@ -256,9 +265,11 @@ def oracle_levels(tree) -> list[int]:
 
 
 def oracle_realizable(table: DecisionTable, tree) -> int:
+    """Nodes some row reaches by truthful answers, each node's edges made once."""
+    known: dict = {}
     union: set[int] = set()
     for r in range(table.n_rows):
-        union |= truthful_reach(table, tree, table.values[r])
+        union |= truthful_reach(table, tree, table.values[r], known)
     return len(union)
 
 

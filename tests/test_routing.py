@@ -1,4 +1,4 @@
-"""The level-batched routing pass against per-node reference walks."""
+"""The routing pass against per-node reference walks, and its two ways of routing a level."""
 
 import random
 
@@ -28,6 +28,13 @@ def differential_cases():
             for measure in ("me", "ent"):
                 yield pytest.param(table, tree_type, measure,
                                    id=f"random{index}-t{tree_type}-{measure}")
+
+
+def occurrences(table, tree_type, measure):
+    """A fresh tree's ``node_rows`` and its (row, terminal) pairs, lexsorted."""
+    routing = build_tree(table, tree_type, measure).route_rows()  # a tree keeps its routing
+    order = np.lexsort((routing.rows, routing.terminals))
+    return routing.node_rows, routing.rows[order], routing.terminals[order]
 
 
 def check_against_oracles(table, tree):
@@ -68,26 +75,69 @@ class TestRouting:
         depth_of = dict(zip(terminals.tolist(), depths.tolist()))
         assert depth_of == {1: 1, 2: 1, 6: 2, 8: 2, 10: 2, 11: 2}
 
-    def test_occurrence_outside_its_level_raises(self, t0):
-        tree = build_tree(t0, 1, "me")
-        tree._first[0] = 0  # the root's rows would come back to level 0
-        with pytest.raises(ValueError):
-            tree.route_rows()
+    def test_occurrence_outside_its_level_raises(self, t0, monkeypatch):
+        for wide_from in (0, 1 << 62):  # every level in NumPy, every level in Python
+            monkeypatch.setattr(builder, "_WIDE_ROUTING", wide_from)
+            # The root's children would be nodes 0-1, back on level 0, or
+            # nodes 2-3, past level 1's last id 2.
+            for first in (0, 2):
+                tree = build_tree(t0, 1, "me")
+                tree._first[0] = first
+                with pytest.raises(ValueError):
+                    tree.route_rows()
 
     def test_chunks_do_not_change_the_result(self, monkeypatch):
         table = ttt_centre_blank()
-
-        def occurrences():
-            # A fresh tree each time: a tree keeps its first routing.
-            routing = build_tree(table, 2, "me").route_rows()
-            order = np.lexsort((routing.rows, routing.terminals))
-            return routing.node_rows, routing.rows[order], routing.terminals[order]
-
-        whole = occurrences()
+        whole = occurrences(table, 2, "me")
         monkeypatch.setattr(builder, "_ROUTE_CHUNK_CELLS", 3 * table.n)
-        chunked = occurrences()
+        chunked = occurrences(table, 2, "me")
         for a, b in zip(whole, chunked):
             assert np.array_equal(a, b)
+
+
+def check_routing_paths(table, tree_type, measure, monkeypatch) -> bool:
+    """Route all in NumPy, all in Python, and switching at the widest level; all agree.
+
+    Returns whether some level below the root is wider than the root, so
+    that the third routing switched from Python to NumPy there.
+    """
+    switched = []
+    wide = builder.DecisionTree._route_wide
+
+    def recorded(tree, starts, *rest):
+        switched.append(starts[0])
+        return wide(tree, starts, *rest)
+
+    monkeypatch.setattr(builder.DecisionTree, "_route_wide", recorded)
+    monkeypatch.setattr(builder, "_WIDE_ROUTING", 0)
+    numpy_only = occurrences(table, tree_type, measure)
+    assert switched == [0]
+    monkeypatch.setattr(builder, "_WIDE_ROUTING", 1 << 62)
+    results = [occurrences(table, tree_type, measure)]
+    assert switched == [0]
+
+    starts = build_tree(table, tree_type, measure).level_starts.tolist()
+    widths = [int(numpy_only[0][lo:hi].sum()) for lo, hi in zip(starts, starts[1:])]
+    widest = max(widths)
+    mixed = widest > table.n_rows
+    if mixed:
+        monkeypatch.setattr(builder, "_WIDE_ROUTING", widest)
+        results.append(occurrences(table, tree_type, measure))
+        assert switched == [0, starts[widths.index(widest)]]
+    for result in results:
+        for a, b in zip(numpy_only, result):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+    return mixed
+
+
+class TestRoutingPaths:
+    @pytest.mark.parametrize("table, tree_type, measure", differential_cases())
+    def test_random_tables(self, table, tree_type, measure, monkeypatch):
+        check_routing_paths(table, tree_type, measure, monkeypatch)
+
+    def test_tic_tac_toe_centre_blank_t2_switches_mid_tree(self, monkeypatch):
+        assert check_routing_paths(ttt_centre_blank(), 2, "me", monkeypatch)
 
 
 class TestKeptRouting:
