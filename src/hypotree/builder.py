@@ -22,35 +22,35 @@ labeled 0.  Degenerate children are labeled immediately from the branch
 counts gathered during query selection, so only nondegenerate subtables
 join the next level.
 
-A narrow level, which is every level of a small table, is expanded node by
-node (``_Builder._expand``) in a handful of NumPy calls per node.
-``queries.branch_stats`` counts the node's rows with one ``bincount`` of
-their ``DecisionTable.branch_keys`` and hands back plain lists, which
-``select_query_from_stats`` scans for the query.  The children's kind, label
-and row count are then gathered in lists, each arena column is extended
-once, and the rows of the children still to expand are cut from one
-``take`` of the node's rows of codes.  A root whose table has one decision
-value is a terminal at once.
+The build changes form at most once.  Until a level has ``_WIDE_FRONTIER``
+nodes to expand, each node is expanded alone (``_Builder._expand``) in a
+handful of NumPy calls: ``queries.branch_stats`` counts the node's rows with
+one ``bincount`` of their ``DecisionTable.branch_keys`` and hands back plain
+lists, which ``select_query_from_stats`` scans for the query.  The
+children's kind, label and row count are then gathered in lists, each arena
+column is extended once, and the rows of the children still to expand are
+cut from one ``take`` of the node's rows of codes.  A root whose table has
+one decision value is a terminal at once.
 
-A level with at least ``_WIDE_FRONTIER`` nodes to expand is built in a few
-NumPy passes over all of them: one ``bincount`` of the rows' branch keys,
-each offset by its node, gives every node's (branch, decision) counts, the
-query choice reads a padded (node x attribute x value) view of the branch
-uncertainties, and the children are laid out on a (node x answer) grid
-whose nonzero order is the arena's child order.  Proper hypotheses (types 4
-and 5) are found on both kinds of level by the threshold search of the
-``queries`` module docstring, on per-(attribute, value) row bitsets made
-once per build: Python ints, row ``r`` at bit ``r``, for a narrow node
-(``queries._row_bitsets``, held by the builder), and packed ``uint64``
-words, 64 rows to a word, for a wide level (``_BranchLayout``), where one
-cumulative AND over the sorted attributes serves every node of a chunk
-(``_Builder._best_proper``).  The level is split into chunks of
-whole nodes holding at most ``_CHUNK_CELLS`` cells (a proper search holds
-one per attribute and word of rows, not per base row), so its temporaries
-stay small however wide it is.  Narrow levels cost less node by node; both
-ways build the same tree.  The node budget is checked before any child of a
-node is allocated: per node on a narrow level, once per chunk on a wide one,
-with the same count of allocated nodes in the error either way.
+The first level that wide and every level below it, however narrow, are
+batched (``_Builder._expand_level``): a few NumPy passes over all the
+level's nodes.  One ``bincount`` of the rows' branch keys, each offset by
+its node, gives every node's (branch, decision) counts, the query choice
+reads a padded (node x attribute x value) view of the branch uncertainties,
+and the children are laid out on a (node x answer) grid whose nonzero order
+is the arena's child order.  Proper hypotheses (types 4 and 5) are found
+both ways by the threshold search of the ``queries`` module docstring, on
+per-(attribute, value) row bitsets made once per build: Python ints, row
+``r`` at bit ``r``, for a node expanded alone (``queries._row_bitsets``,
+held by the builder), and packed ``uint64`` words, 64 rows to a word, for a
+batched level (``_BranchLayout``), where one cumulative AND over the sorted
+attributes serves every node of a chunk (``_Builder._best_proper``).  The
+level is split into chunks of whole nodes holding at most ``_CHUNK_CELLS``
+cells (a proper search holds one per attribute and word of rows, not per
+base row), so its temporaries stay small however wide it is.  Both ways
+build the same tree.  The node budget is checked before any child of a node
+is allocated: per node alone, once per chunk of a batched level, with the
+same count of allocated nodes in the error either way.
 
 A hypothesis is stored once, as its row of value codes (positions in the
 base table's ``value_sets``) in one flat array; a hypothesis node's label is
@@ -75,15 +75,14 @@ build, so the pass runs once per tree: its ``Routing`` is kept on the tree,
 read-only, and serves ``validate``, ``rule_stats`` and ``derive_rules``
 alike.  It depends only on the kinds, first children, working nodes'
 labels, hypothesis codes and level starts of the tree and on the base
-table's codes.  As in the build, a level's width picks how it is done.  A
-level of fewer than ``_WIDE_ROUTING`` (row, node) occurrences routes in
-plain Python, node by node, over the arena's ``array`` columns and the
-rows' code tuples; a wider one in a few NumPy passes over all of its
-occurrences.  The switch goes one way: from the first level that reaches
-the threshold, which is the root for a table of that many rows, the rest
-of the tree routes in NumPy.  So a small table's tree touches NumPy only
-to return its arrays, where the NumPy passes' fixed cost of about ten calls
-a level would dominate; both ways give the same ``Routing``.
+table's codes.  The table's size picks one form for the whole pass.  A
+table of fewer than ``_WIDE_ROUTING`` rows routes every level in plain
+Python, node by node, over the arena's ``array`` columns and the rows' code
+tuples, and touches NumPy only to return its arrays: on so few rows the
+NumPy passes' fixed cost of about ten calls a level would dominate.  A
+larger table routes every level, from the root down, in a few NumPy passes
+over all of its (row, node) occurrences.  Both ways give the same
+``Routing``.
 """
 
 from __future__ import annotations
@@ -134,20 +133,23 @@ _ROUTE_CHUNK_CELLS = 1 << 18
 # text is never held as one string per line.
 _SERIALIZE_BLOCK = 4096
 
-# Levels of the routing pass with at least this many (row, node) occurrences
-# route in NumPy, narrower ones in plain Python (``DecisionTree.route_rows``).
-# Set from a measured crossover: routing the trees of random tables of 8-63
-# rows and 2-9 attributes, plain Python was cheaper for roots of fewer than
-# 16 rows and NumPy for roots of 24 rows or more.  A level of a few dozen
-# occurrences already costs NumPy little more than a level of one.
-_WIDE_ROUTING = 24
+# Tables of at least this many rows route in NumPy from the root, smaller
+# ones wholly in plain Python (``DecisionTree.route_rows``).  Set from the
+# crossover of ``scripts/crossover.py`` (t1-t5 trees of random tables of 4-63
+# rows and of the Boolean suites n=3..6): over ten runs NumPy first cost less
+# at 8-13 rows, the least total routing time fell at 9-17 rows (median 12),
+# and 12 came within 2.7 % of each run's least.
+_WIDE_ROUTING = 12
 
-# Levels with at least this many nodes to expand are built in a few NumPy
-# passes over the whole level; narrower ones node by node, which costs less
-# when a level holds only a handful of nodes.
+# The first level with at least this many nodes to expand, and every level
+# below it, is built in NumPy passes over the whole level; the levels above
+# it node by node, which costs less for a handful of nodes.  On the inputs of
+# ``scripts/crossover.py``, over six runs, every level node by node took
+# 3.4-4.6 times as long as the build as shipped (random tables) and 2.3-2.8
+# times (Boolean suites), every level batched 1.1-1.2 and 1.3-1.9 times.
 _WIDE_FRONTIER = 8
 
-# Most cells one chunk of a wide level holds at once (see
+# Most cells one chunk of a batched level holds at once (see
 # ``_Builder._expand_level``), which bounds its temporaries to a few
 # megabytes however wide the level is.
 _CHUNK_CELLS = 1 << 16
@@ -365,14 +367,15 @@ class DecisionTree:
         the child of attribute ``i`` with value code ``c`` sits at
         ``first + 1 + offsets[i] - i + c - (c > hypothesis code)``.
 
-        Levels of fewer than ``_WIDE_ROUTING`` occurrences route in plain
-        Python, their occurrences grouped by node, until the first level
-        that reaches it; from there on the occurrences are int64 arrays and
-        each level takes a few NumPy passes, which cost less once a level
-        holds a few dozen occurrences (``_WIDE_ROUTING`` records the
-        measured crossover).  NumPy levels expand hypothesis nodes in chunks
-        of at most ``_ROUTE_CHUNK_CELLS`` (row, attribute) cells, comparing
-        codes in the narrow dtype the hypotheses are stored in.
+        One form serves the whole tree, picked by the table's size
+        (``_WIDE_ROUTING`` records the measured crossover).  A table of
+        fewer than ``_WIDE_ROUTING`` rows routes every level in plain
+        Python, its occurrences grouped by node.  A larger table routes
+        every level from the root in ``_route_wide``, its occurrences int64
+        arrays and each level a few NumPy passes, which expand hypothesis
+        nodes in chunks of at most ``_ROUTE_CHUNK_CELLS`` (row, attribute)
+        cells, comparing codes in the narrow dtype the hypotheses are stored
+        in.
         """
         if self._routing is None:
             routing = self._route()
@@ -384,15 +387,11 @@ class DecisionTree:
     def _route(self) -> Routing:
         """The routing pass itself, as ``route_rows`` describes it."""
         base = self.base
-        n_rows = base.n_rows
-        starts = self._starts.tolist()
-        if n_rows >= _WIDE_ROUTING:
-            return self._route_wide(
-                starts, np.arange(n_rows), np.zeros(n_rows, dtype=np.int64),
-                np.zeros(len(self._kind), dtype=np.int64), [], [],
-            )
+        if base.n_rows >= _WIDE_ROUTING:
+            return self._route_wide()
         kind, label, first, hyp_codes = self._kind, self._label, self._first, self._hyp_codes
         n = base.n
+        starts = self._starts.tolist()
         row_codes = list(base._row_index)  # each row's codes, in row order
         skip, offset = [], 1  # each attribute's ``1 + offsets[i] - i``
         for i, values in enumerate(base.value_sets):
@@ -402,19 +401,8 @@ class DecisionTree:
         ends_rows: list[int] = []
         ends_nodes: list[int] = []
         # The level's occurrences, grouped by node: (node, its rows).
-        level: list[tuple[int, list[int]]] = [(0, list(range(n_rows)))]
-        occurrences = n_rows
-        for depth, (lo, hi) in enumerate(zip(starts, starts[1:])):
-            if occurrences >= _WIDE_ROUTING:  # the rest of the tree routes in NumPy
-                rows = [r for _, rs in level for r in rs]
-                nodes = [v for v, rs in level for _ in rs]
-                rows, nodes, node_rows, ends_rows, ends_nodes = (
-                    np.array(part, dtype=np.int64)
-                    for part in (rows, nodes, node_rows, ends_rows, ends_nodes)
-                )
-                return self._route_wide(
-                    starts[depth:], rows, nodes, node_rows, [ends_rows], [ends_nodes]
-                )
+        level: list[tuple[int, list[int]]] = [(0, list(range(base.n_rows)))]
+        for lo, hi in zip(starts, starts[1:]):
             below: list[tuple[int, list[int]]] = []
             for v, rs in level:
                 if not lo <= v < hi:
@@ -446,19 +434,24 @@ class DecisionTree:
             if not below:
                 break
             level = below
-            occurrences = sum([len(rs) for _, rs in below])
         parts = (node_rows, ends_rows, ends_nodes)
         return Routing(*(np.array(part, dtype=np.int64) for part in parts))
 
-    def _route_wide(self, starts, rows, nodes, node_rows, ends_rows, ends_nodes) -> Routing:
-        """Route levels ``starts[0]`` onwards in NumPy, from their (row, node) occurrences.
+    def _route_wide(self) -> Routing:
+        """The routing pass in NumPy, for a table of at least ``_WIDE_ROUTING`` rows.
 
-        ``node_rows`` holds the counts of the levels above, and ``ends_rows``
-        and ``ends_nodes`` their terminal occurrences, as arrays.
+        Every level, from the root down, moves its (row, node) occurrences
+        as two int64 arrays.
         """
         kinds, label, _, first, _ = self._arena()
         base = self.base
         codes = base.codes
+        starts = self._starts.tolist()
+        rows = np.arange(base.n_rows)
+        nodes = np.zeros(base.n_rows, dtype=np.int64)
+        node_rows = np.zeros(len(kinds), dtype=np.int64)
+        ends_rows: list[np.ndarray] = []
+        ends_nodes: list[np.ndarray] = []
         hyp = None
         if len(self._hyp_codes):  # codes and hypotheses in one narrow dtype
             typecode = self._hyp_codes.typecode
@@ -598,10 +591,10 @@ class _Builder:
         if self.budget < 1:
             raise NodeBudgetExceeded(self.budget, 0)
         if len(self.decision_values) == 1:  # a degenerate root is the whole tree
-            root, narrow = (TERMINAL, self.decision_values[0]), []
+            root, level = (TERMINAL, self.decision_values[0]), []
         else:
-            root, narrow = (_PENDING, -1), [(0, np.arange(table.n_rows, dtype=np.int64))]
-            if self.tree_type in (4, 5):  # the root is a narrow node
+            root, level = (_PENDING, -1), [(0, np.arange(table.n_rows, dtype=np.int64))]
+            if self.tree_type in (4, 5):  # the root is expanded alone
                 self._row_bits = _row_bitsets(table)
         self.kind.append(root[0])
         self.label.append(root[1])
@@ -610,21 +603,22 @@ class _Builder:
         width = 0
         starts = array("q", [0])  # the first id of each level, then the node count
         try:
-            while narrow:
-                width = len(narrow)
-                if width >= _WIDE_FRONTIER:
-                    wide = _join_frontier(narrow)
-                    while width >= _WIDE_FRONTIER:
-                        starts.append(len(self.kind))
-                        wide = self._expand_level(*wide)
-                        width = len(wide[0])
-                    narrow = _split_frontier(*wide)
-                    continue
+            # Node by node while the levels are narrow: (node, rows) per node.
+            while 0 < len(level) < _WIDE_FRONTIER:
+                width = len(level)
                 starts.append(len(self.kind))
                 pending: list[tuple[int, np.ndarray]] = []
-                for node, node_rows in narrow:
+                for node, node_rows in level:
                     self._expand(node, node_rows, pending)
-                narrow = pending
+                level = pending
+            if level:  # this level and every one below it are batched
+                nodes = np.array([node for node, _ in level], dtype=np.int64)
+                rows = np.concatenate([r for _, r in level])
+                seg = np.repeat(np.arange(len(level)), [len(r) for _, r in level])
+                while len(nodes):
+                    width = len(nodes)
+                    starts.append(len(self.kind))
+                    nodes, rows, seg = self._expand_level(nodes, rows, seg)
         except NodeBudgetExceeded as exc:  # name the level that ran out
             raise NodeBudgetExceeded(self.budget, exc.nodes, len(starts) - 2, width) from None
         starts.append(len(self.kind))
@@ -641,7 +635,7 @@ class _Builder:
         )
 
     def _expand(self, node: int, rows: np.ndarray, pending: list) -> None:
-        """Expand one node of a narrow level; its pending children join ``pending``."""
+        """Expand one node alone; its pending children join ``pending``."""
         table = self.table
         stats = branch_stats(table, rows, self.measure)
         choice, _ = select_query_from_stats(table, stats, self.tree_type, self._row_bits)
@@ -702,7 +696,7 @@ class _Builder:
                 pending.append((start + at, rows[codes[:, i] == code]))
 
     def _expand_level(self, nodes, rows, seg):
-        """Expand a wide level in chunks; return the next level as (nodes, rows, seg).
+        """Expand a batched level in chunks; return the next level as (nodes, rows, seg).
 
         ``rows`` lists the subtable rows of every node, grouped by node in
         node order and ascending within a node; ``seg[j]`` is the position
@@ -739,7 +733,7 @@ class _Builder:
         return np.concatenate(out_nodes), np.concatenate(out_rows), np.concatenate(out_seg)
 
     def _expand_chunk(self, nodes, rows, seg):
-        """Expand whole nodes of a wide level; return their pending children likewise."""
+        """Expand whole nodes of a batched level; return their pending children likewise."""
         table = self.table
         lay = self._layout
         f = len(nodes)
@@ -942,20 +936,6 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     return packed.view("<u8").astype(np.uint64)
 
 
-def _join_frontier(narrow):
-    """Per-node (node, rows) pairs as one (nodes, rows, seg) level."""
-    nodes = np.array([node for node, _ in narrow], dtype=np.int64)
-    sizes = [len(rows) for _, rows in narrow]
-    rows = np.concatenate([rows for _, rows in narrow])
-    return nodes, rows, np.repeat(np.arange(len(narrow)), sizes)
-
-
-def _split_frontier(nodes, rows, seg):
-    """A (nodes, rows, seg) level as per-node (node, rows) pairs."""
-    ends = np.cumsum(np.bincount(seg, minlength=len(nodes)))[:-1]
-    return list(zip(nodes.tolist(), np.split(rows, ends)))
-
-
 def build_tree(
     table: DecisionTable,
     tree_type: int,
@@ -965,9 +945,11 @@ def build_tree(
 ) -> DecisionTree:
     """Build the greedy tree of the given type under the given measure.
 
-    The tree grows one breadth-first level at a time: wide levels in chunked
-    NumPy passes over all their nodes, narrow ones node by node (see the
-    module docstring); the result does not depend on which.  Raises
+    The tree grows one breadth-first level at a time: node by node until a
+    level has ``_WIDE_FRONTIER`` nodes to expand, then that level and every
+    one below it in chunked NumPy passes over all their nodes (see the
+    module docstring); the result does not depend on where the build turns.
+    Raises
     ConstraintError for an empty table, a tree type that is not an integer
     1..5 or a node budget that is not an integer (bools are neither), and
     NodeBudgetExceeded, naming the level and its width, when the arena would

@@ -4,7 +4,9 @@ Subcommands: ``build`` (print a tree), ``metrics`` (depth, realizable nodes,
 rule figures), ``rules`` (derived decision rules), ``validate`` (structural
 and behavioural checks), ``experiment`` (dataset x measure x type report)
 and ``experiment-bool`` (random Boolean function suites with min/avg/max
-aggregation).
+aggregation).  ``experiment`` renders a cell whose tree could not be made
+as a dash and writes its reason to stderr, one ``note:`` line per aborted
+(dataset, measure, type) in report order.
 
 Exit codes: 0 success, 1 usage error or unwritable output file, 2 data or
 validation error, 3 node budget exceeded.
@@ -263,6 +265,9 @@ def _run(args: argparse.Namespace) -> int:
         _check_writable(args.out)
         cells = run_matrix(spec)
         _emit(render_report(cells, args.format), args.out)
+        aborted = {(c.dataset, c.measure, c.tree_type): c.note for c in cells if c.aborted}
+        for (dataset, measure, tree_type), note in aborted.items():
+            print(f"note: {dataset} ({measure}, t{tree_type}): {note}", file=sys.stderr)
         return 0
 
     if args.command == "experiment-bool":

@@ -122,7 +122,7 @@ def load_table(path: str | Path, decision_column: str | int | None = None) -> De
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a byte-order mark is not a cell
     except FileNotFoundError:
         raise DataError(f"no such file: {path}")
     except UnicodeDecodeError as exc:

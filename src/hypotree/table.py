@@ -110,12 +110,16 @@ def _as_int(value, what: str) -> int:
 def _integral(data, what: str) -> np.ndarray:
     """``data`` as a new int64 array; ConstraintError if the cast changes an entry."""
     raw = np.asarray(data)
-    if raw.dtype.kind in "biu":
+    kind = raw.dtype.kind
+    if kind in "bi" or kind == "u" and (raw.size == 0 or raw.max() < 2**63):
         return raw.astype(np.int64, copy=raw is data)
-    with np.errstate(invalid="ignore"):
-        out = raw.astype(np.int64)
-    if not np.array_equal(out, raw):
-        raise ConstraintError(f"{what} must be integers")
+    try:  # a larger uint64 wraps; a Python int beyond int64, a word or None raises
+        with np.errstate(invalid="ignore"):
+            out = raw.astype(np.int64)
+    except (OverflowError, TypeError, ValueError):
+        out = None
+    if out is None or not np.array_equal(out, raw):
+        raise ConstraintError(f"{what} must be integers in the int64 range")
     return out
 
 

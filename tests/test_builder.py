@@ -348,10 +348,33 @@ class TestExpansionPaths:
     def test_wide_levels_of_a_real_table(self, tree_type, monkeypatch):
         table = ttt_centre(1)
         ref = _build(table, tree_type, "ent", PER_NODE, monkeypatch)
-        monkeypatch.undo()  # the default width and cap: levels switch paths
+        monkeypatch.undo()  # the default width and cap: the build turns batched once wide
         got = build_tree(table, tree_type, "ent")
         assert got.serialize() == ref.serialize()
         assert got._hyp_codes == ref._hyp_codes
+
+    def test_a_batched_build_stays_batched(self, monkeypatch):
+        table = ttt_centre(2)
+        ref = _build(table, 3, "me", PER_NODE, monkeypatch)
+        monkeypatch.undo()
+        calls = []
+        for name in ("_expand", "_expand_level"):
+            def recorded(self, *args, _name=name, _method=getattr(builder._Builder, name)):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(builder._Builder, name, recorded)
+        got = build_tree(table, 3, "me")
+        starts = got.level_starts.tolist()
+        working = [int(np.count_nonzero(got.kinds[lo:hi])) for lo, hi in zip(starts, starts[1:])]
+        assert working == [1, 16, 140, 196, 7, 0]
+        # The root alone is expanded node by node; the last level, narrower
+        # than the batched width, stays batched like the levels above it.
+        assert builder._WIDE_FRONTIER > 7
+        assert calls == ["_expand"] + ["_expand_level"] * 4
+        assert got.serialize() == ref.serialize()
+        assert got._hyp_codes == ref._hyp_codes
+        assert np.array_equal(got.path_row_counts, ref.path_row_counts)
 
 
 class TestProperHypotheses:

@@ -200,12 +200,30 @@ class TestExperiment:
         assert "gini,h,t0,1,2,1" in out
 
     def test_load_failure_renders_dashes(self, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "experiment", "--tables", "no/such.csv",
             "--types", "1", "--metrics", "h", "--format", "csv",
         )
         assert code == 0
         assert "me,h,such,—" in out
+        assert err == "note: such (me, t1): no such file: no/such.csv\n"
+
+    def test_one_note_per_aborted_tree_in_cell_order(self, capsys, t0_csv):
+        code, out, err = run(
+            capsys, "experiment", "--tables", f"no/such.csv,{t0_csv}",
+            "--types", "1-2", "--measures", "me,ent", "--metrics", "h,L",
+            "--budget", "3", "--format", "csv",
+        )
+        assert code == 0
+        assert "me,L,t0,3,—" in out
+        assert err.splitlines() == [
+            "note: such (me, t1): no such file: no/such.csv",
+            "note: such (me, t2): no such file: no/such.csv",
+            "note: such (ent, t1): no such file: no/such.csv",
+            "note: such (ent, t2): no such file: no/such.csv",
+            "note: t0 (me, t2): node budget exceeded",
+            "note: t0 (ent, t2): node budget exceeded",
+        ]
 
 
 class TestExperimentBool:

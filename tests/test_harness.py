@@ -84,6 +84,14 @@ class TestLoadTable:
         assert t.attribute_names == ("a", "b")
         assert list(t.decisions) == [0, 1]
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("﻿a,label,b\n0,x,1\n1,y,0\n", encoding="utf-8")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        t = load_table(path, decision_column="label")
+        assert t.attribute_names == ("a", "b")
+        assert load_table(path, decision_column="a").attribute_names == ("label", "b")
+
     def test_decision_column_by_index(self, tmp_path):
         path = tmp_path / "first.csv"
         path.write_text("a,b,c\n0,x,1\n1,y,0\n", encoding="utf-8")

@@ -1,4 +1,4 @@
-"""The routing pass against per-node reference walks, and its two ways of routing a level."""
+"""The routing pass against per-node reference walks, and its two ways of routing a tree."""
 
 import random
 
@@ -95,40 +95,22 @@ class TestRouting:
             assert np.array_equal(a, b)
 
 
-def check_routing_paths(table, tree_type, measure, monkeypatch) -> bool:
-    """Route all in NumPy, all in Python, and switching at the widest level; all agree.
-
-    Returns whether some level below the root is wider than the root, so
-    that the third routing switched from Python to NumPy there.
-    """
-    switched = []
-    wide = builder.DecisionTree._route_wide
-
-    def recorded(tree, starts, *rest):
-        switched.append(starts[0])
-        return wide(tree, starts, *rest)
-
-    monkeypatch.setattr(builder.DecisionTree, "_route_wide", recorded)
-    monkeypatch.setattr(builder, "_WIDE_ROUTING", 0)
-    numpy_only = occurrences(table, tree_type, measure)
-    assert switched == [0]
-    monkeypatch.setattr(builder, "_WIDE_ROUTING", 1 << 62)
-    results = [occurrences(table, tree_type, measure)]
-    assert switched == [0]
-
-    starts = build_tree(table, tree_type, measure).level_starts.tolist()
-    widths = [int(numpy_only[0][lo:hi].sum()) for lo, hi in zip(starts, starts[1:])]
-    widest = max(widths)
-    mixed = widest > table.n_rows
-    if mixed:
-        monkeypatch.setattr(builder, "_WIDE_ROUTING", widest)
+def check_routing_paths(table, tree_type, measure, monkeypatch) -> None:
+    """Route all in NumPy and all in Python; both give the same ``Routing``."""
+    results = []
+    for wide_from in (0, 1 << 62):  # every table in NumPy, every table in Python
+        monkeypatch.setattr(builder, "_WIDE_ROUTING", wide_from)
         results.append(occurrences(table, tree_type, measure))
-        assert switched == [0, starts[widths.index(widest)]]
-    for result in results:
-        for a, b in zip(numpy_only, result):
-            assert a.dtype == b.dtype == np.int64
-            assert np.array_equal(a, b)
-    return mixed
+    for a, b in zip(*results):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+class _NoRowCodes(dict):
+    """A row index whose code tuples only the plain-Python pass reads."""
+
+    def __iter__(self):
+        raise AssertionError("the plain-Python pass routed a wide table")
 
 
 class TestRoutingPaths:
@@ -136,8 +118,29 @@ class TestRoutingPaths:
     def test_random_tables(self, table, tree_type, measure, monkeypatch):
         check_routing_paths(table, tree_type, measure, monkeypatch)
 
-    def test_tic_tac_toe_centre_blank_t2_switches_mid_tree(self, monkeypatch):
-        assert check_routing_paths(ttt_centre_blank(), 2, "me", monkeypatch)
+    def test_tic_tac_toe_centre_blank_t2_routes_by_table_size(self, monkeypatch):
+        full = ttt_centre_blank()
+        check_routing_paths(full, 2, "me", monkeypatch)
+        monkeypatch.undo()
+        wide = builder.DecisionTree._route_wide
+        calls = []
+
+        def recorded(tree):
+            calls.append(tree.base.n_rows)
+            return wide(tree)
+
+        monkeypatch.setattr(builder.DecisionTree, "_route_wide", recorded)
+        n = builder._WIDE_ROUTING
+        for rows in (full.n_rows, n, n - 1, 2):
+            table = DecisionTable(full.attribute_names, full.values[:rows], full.decisions[:rows])
+            tree = build_tree(table, 2, "me")
+            expected = oracles.oracle_rule_stats(table, tree)
+            if rows >= n:  # NumPy from the root: the rows' code tuples are never read
+                table._row_index = _NoRowCodes(table._row_index)
+            stats = rule_stats(table, tree)
+            assert np.array_equal(stats.row_lengths, expected[0])
+            assert np.array_equal(stats.row_coverages, expected[1])
+        assert calls == [full.n_rows, n]
 
 
 class TestKeptRouting:

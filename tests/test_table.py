@@ -98,6 +98,30 @@ class TestConstruction:
         with pytest.raises(ConstraintError, match="attribute values must be integers"):
             DecisionTable(("a",), np.array([(1,), (1.2,)]), np.array([0, 1]))
 
+    @pytest.mark.parametrize(
+        "values, decisions, what",
+        [
+            ([(2**70,)], [0], "attribute values"),  # a Python int past uint64
+            ([(0,)], [2**70], "decisions"),
+            ([(-(2**63) - 1,)], [0], "attribute values"),  # below int64
+            ([(2**63,)], [0], "attribute values"),  # a uint64 the cast would wrap
+            (np.array([(2**63,)], dtype=np.uint64), [0], "attribute values"),
+            ([(0,)], np.array([2**64 - 1], dtype=np.uint64), "decisions"),
+            ([(2.0**70,)], [0], "attribute values"),  # a whole float past int64
+            ([("x",)], [0], "attribute values"),  # neither an int nor a float
+            ([(0,)], [None], "decisions"),
+        ],
+    )
+    def test_entries_that_are_not_int64_rejected(self, values, decisions, what):
+        with pytest.raises(ConstraintError, match=f"^{what} must be integers in the int64 range$"):
+            DecisionTable(("a",), values, decisions)
+
+    def test_uint64_entries_within_int64_accepted(self):
+        top = np.array([(2**63 - 1,), (0,)], dtype=np.uint64)
+        t = DecisionTable(("a",), top, np.array([1, 2**63 - 1], dtype=np.uint64))
+        assert t.values.tolist() == [[2**63 - 1], [0]]
+        assert t.decisions.tolist() == [1, 2**63 - 1]
+
     def test_branch_keys(self):
         t = DecisionTable(
             ("a", "b", "c"),
@@ -182,6 +206,14 @@ class TestSubtables:
     )
     def test_selected_indices_must_be_integers(self, t0, selected):
         with pytest.raises(ConstraintError, match="row indices must be integers"):
+            SubtableRef(t0, selected)
+
+    @pytest.mark.parametrize(
+        "selected",
+        [[2**70], [0, 2**63], np.array([2**63], dtype=np.uint64), [-(2**63) - 1], ["a"], [None]],
+    )
+    def test_selected_indices_that_are_not_int64_rejected(self, t0, selected):
+        with pytest.raises(ConstraintError, match="^row indices must be integers in the int64 range$"):
             SubtableRef(t0, selected)
 
     def test_integral_selections_accepted(self, t0):
