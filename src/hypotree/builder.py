@@ -70,19 +70,19 @@ before the next block starts, so a tree of millions of nodes never holds one
 string object per line.
 
 ``DecisionTree.route_rows`` sends every base-table row down all of its
-truthful paths, one level at a time.  A tree does not change after the
-build, so the pass runs once per tree: its ``Routing`` is kept on the tree,
-read-only, and serves ``validate``, ``rule_stats`` and ``derive_rules``
-alike.  It depends only on the kinds, first children, working nodes'
-labels, hypothesis codes and level starts of the tree and on the base
-table's codes.  The table's size picks one form for the whole pass.  A
-table of fewer than ``_WIDE_ROUTING`` rows routes every level in plain
-Python, node by node, over the arena's ``array`` columns and the rows' code
-tuples, and touches NumPy only to return its arrays: on so few rows the
-NumPy passes' fixed cost of about ten calls a level would dominate.  A
-larger table routes every level, from the root down, in a few NumPy passes
-over all of its (row, node) occurrences.  Both ways give the same
-``Routing``.
+truthful paths.  A tree does not change after the build, so the pass runs
+once per tree: its ``Routing`` is kept on the tree, read-only, and serves
+``validate``, ``rule_stats`` and ``derive_rules`` alike.  It depends only on
+the kinds, first children, working nodes' labels, hypothesis codes and level
+starts of the tree and on the base table's codes.  The table's size picks
+one form for the whole pass.  A table of fewer than ``_WIDE_ROUTING`` rows
+is routed in plain Python, one row at a time: a stack walk over the arena's
+``array`` columns and the row's code tuple, which touches NumPy only to
+return its arrays, since on so few rows the NumPy passes' fixed cost of
+about ten calls a level would dominate.  A larger table is routed one level
+at a time, from the root down, in a few NumPy passes over all of the
+level's (row, node) occurrences.  Both ways give the same ``Routing`` up to
+the order of its terminal occurrences.
 """
 
 from __future__ import annotations
@@ -93,6 +93,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .table import ConstraintError, DecisionTable, _is_integer
+# perfbench's traced runs time the builder's narrow nodes by replacing
+# ``builder.branch_stats``, ``builder.select_query_from_stats`` and
+# ``UncertaintyMeasure.of_count_matrix``, so those calls go through these names.
 from .queries import (
     AttributeQuery,
     Hypothesis,
@@ -133,13 +136,13 @@ _ROUTE_CHUNK_CELLS = 1 << 18
 # text is never held as one string per line.
 _SERIALIZE_BLOCK = 4096
 
-# Tables of at least this many rows route in NumPy from the root, smaller
-# ones wholly in plain Python (``DecisionTree.route_rows``).  Set from the
-# crossover of ``scripts/crossover.py`` (t1-t5 trees of random tables of 4-63
-# rows and of the Boolean suites n=3..6): over ten runs NumPy first cost less
-# at 8-13 rows, the least total routing time fell at 9-17 rows (median 12),
-# and 12 came within 2.7 % of each run's least.
-_WIDE_ROUTING = 12
+# Tables of at least this many rows route in NumPy, smaller ones in plain
+# Python (``DecisionTree.route_rows``).  Set from the crossover of
+# ``scripts/crossover.py`` (t1-t5 trees of random tables of 4-63 rows and of
+# the Boolean suites n=3..6): in three runs the least total routing time fell
+# at 13 rows, under 0.2 % below 12, as the row-by-row walk routed the 12-row
+# tables 1-4 % faster than NumPy.
+_WIDE_ROUTING = 13
 
 # The first level with at least this many nodes to expand, and every level
 # below it, is built in NumPy passes over the whole level; the levels above
@@ -356,9 +359,10 @@ class DecisionTree:
         labels, the hypothesis codes, the level starts and the base table's
         codes.
 
-        The pass moves (row, node) occurrences down one level at a time and
-        counts each level's rows per node over that level's id range; an
-        occurrence outside that range raises ``ValueError``.  At an
+        Each (row, node) occurrence must lie in the id range of the level
+        its path from the root reaches, and every node it reaches is
+        counted; an occurrence outside that range, including one still
+        moving below the deepest level, raises ``ValueError``.  At an
         attribute node a row takes the child of its value.  At a hypothesis
         node a row equal to the hypothesis takes the holds child; any other
         row takes one counterexample child per attribute where it differs
@@ -369,13 +373,10 @@ class DecisionTree:
 
         One form serves the whole tree, picked by the table's size
         (``_WIDE_ROUTING`` records the measured crossover).  A table of
-        fewer than ``_WIDE_ROUTING`` rows routes every level in plain
-        Python, its occurrences grouped by node.  A larger table routes
-        every level from the root in ``_route_wide``, its occurrences int64
-        arrays and each level a few NumPy passes, which expand hypothesis
-        nodes in chunks of at most ``_ROUTE_CHUNK_CELLS`` (row, attribute)
-        cells, comparing codes in the narrow dtype the hypotheses are stored
-        in.
+        fewer than ``_WIDE_ROUTING`` rows is routed in plain Python, one row
+        at a time, by a stack walk of (node, level) pairs over the row's
+        codes.  A larger table is routed by ``_route_wide``, one level at a
+        time in a few NumPy passes.
         """
         if self._routing is None:
             routing = self._route()
@@ -391,8 +392,8 @@ class DecisionTree:
             return self._route_wide()
         kind, label, first, hyp_codes = self._kind, self._label, self._first, self._hyp_codes
         n = base.n
-        starts = self._starts.tolist()
-        row_codes = list(base._row_index)  # each row's codes, in row order
+        # Each level's id range, and past the deepest an empty one.
+        bounds = self._starts.tolist() + [len(kind)]
         skip, offset = [], 1  # each attribute's ``1 + offsets[i] - i``
         for i, values in enumerate(base.value_sets):
             skip.append(offset - i)
@@ -400,48 +401,46 @@ class DecisionTree:
         node_rows = [0] * len(kind)
         ends_rows: list[int] = []
         ends_nodes: list[int] = []
-        # The level's occurrences, grouped by node: (node, its rows).
-        level: list[tuple[int, list[int]]] = [(0, list(range(base.n_rows)))]
-        for lo, hi in zip(starts, starts[1:]):
-            below: list[tuple[int, list[int]]] = []
-            for v, rs in level:
-                if not lo <= v < hi:
-                    raise ValueError(f"node {v} reached outside its level's ids {lo}..{hi - 1}")
-                node_rows[v] += len(rs)
+        for r, codes in enumerate(base._row_index):  # each row's codes, in row order
+            stack = [(0, 0)]  # (node, level)
+            while stack:
+                v, d = stack.pop()
+                if not bounds[d] <= v < bounds[d + 1]:
+                    raise ValueError(
+                        f"node {v} reached outside its level's ids [{bounds[d]}, {bounds[d + 1]})"
+                    )
+                node_rows[v] += 1
                 k = kind[v]
                 if k == TERMINAL:
-                    ends_rows += rs
-                    ends_nodes += [v] * len(rs)
+                    ends_rows.append(r)
+                    ends_nodes.append(v)
                     continue
                 f = first[v]
-                children: dict[int, list[int]] = {}
+                d += 1
                 if k == WORKING_ATTR:
-                    a = label[v]
-                    for r in rs:
-                        children.setdefault(f + row_codes[r][a], []).append(r)
-                else:
-                    at = label[v] * n
-                    hypothesis = hyp_codes[at : at + n]
-                    for r in rs:
-                        holds = True
-                        for c, h, s in zip(row_codes[r], hypothesis, skip):
-                            if c != h:
-                                children.setdefault(f + s + c - (c > h), []).append(r)
-                                holds = False
-                        if holds:
-                            children.setdefault(f, []).append(r)
-                below += children.items()
-            if not below:
-                break
-            level = below
-        parts = (node_rows, ends_rows, ends_nodes)
-        return Routing(*(np.array(part, dtype=np.int64) for part in parts))
+                    stack.append((f + codes[label[v]], d))
+                    continue
+                at = label[v] * n
+                holds = True
+                for c, h, s in zip(codes, hyp_codes[at : at + n], skip):
+                    if c != h:
+                        stack.append((f + s + c - (c > h), d))
+                        holds = False
+                if holds:
+                    stack.append((f, d))
+        return Routing(
+            np.array(node_rows, dtype=np.int64),
+            np.array(ends_rows, dtype=np.int64),
+            np.array(ends_nodes, dtype=np.int64),
+        )
 
     def _route_wide(self) -> Routing:
         """The routing pass in NumPy, for a table of at least ``_WIDE_ROUTING`` rows.
 
         Every level, from the root down, moves its (row, node) occurrences
-        as two int64 arrays.
+        as two int64 arrays.  Hypothesis nodes' occurrences are expanded in
+        chunks of at most ``_ROUTE_CHUNK_CELLS`` (row, attribute) cells,
+        comparing codes in the narrow dtype the hypotheses are stored in.
         """
         kinds, label, _, first, _ = self._arena()
         base = self.base
@@ -452,14 +451,12 @@ class DecisionTree:
         node_rows = np.zeros(len(kinds), dtype=np.int64)
         ends_rows: list[np.ndarray] = []
         ends_nodes: list[np.ndarray] = []
-        hyp = None
         if len(self._hyp_codes):  # codes and hypotheses in one narrow dtype
             typecode = self._hyp_codes.typecode
-            hyp = (
-                codes.astype(typecode),
-                self._as_np(self._hyp_codes, typecode).reshape(-1, base.n),
-                1 + base.offsets[:-1] - np.arange(base.n),
-            )
+            narrow = codes.astype(typecode)
+            hypotheses = self._as_np(self._hyp_codes, typecode).reshape(-1, base.n)
+            skip = 1 + base.offsets[:-1] - np.arange(base.n)
+            chunk = max(1, _ROUTE_CHUNK_CELLS // base.n)
         for lo, hi in zip(starts, starts[1:]):
             # A node outside the level makes bincount or the assignment raise.
             node_rows[lo:hi] = np.bincount(nodes - lo, minlength=hi - lo)
@@ -478,41 +475,34 @@ class DecisionTree:
                 next_rows.append(r)
                 next_nodes.append(first.take(v) + codes[r, label.take(v)])
             if n_hyp:
-                r, v = _of_kind(kind, WORKING_HYP, n_hyp, rows, nodes)
-                self._expand_hypotheses(hyp, r, v, next_rows, next_nodes)
-            rows = nodes = kind = r = v = None  # free this level before joining the next
+                hyp_rows, hyp_nodes = _of_kind(kind, WORKING_HYP, n_hyp, rows, nodes)
+                for at in range(0, n_hyp, chunk):
+                    r, v = hyp_rows[at : at + chunk], hyp_nodes[at : at + chunk]
+                    f = first.take(v)
+                    c = narrow.take(r, axis=0)
+                    h = hypotheses.take(label.take(v), axis=0)
+                    differs = c != h
+                    n_differ = np.add.reduce(differs, axis=1)
+                    child = f[:, None] + skip + c - (c > h)
+                    next_rows.append(r.repeat(n_differ))
+                    next_nodes.append(child[differs])
+                    if np.count_nonzero(n_differ) < len(r):
+                        holds = n_differ == 0
+                        next_rows.append(r[holds])
+                        next_nodes.append(f[holds])
+            # Free this level, and its last chunk's temporaries, before joining the next.
+            rows = nodes = kind = r = v = hyp_rows = hyp_nodes = None
+            f = c = h = differs = n_differ = child = holds = None
             if len(next_rows) == 1:
                 rows, nodes = next_rows[0], next_nodes[0]
             else:
                 rows, nodes = np.concatenate(next_rows), np.concatenate(next_nodes)
+        else:  # occurrences still moving below the deepest level
+            raise ValueError(f"node {nodes[0]} reached outside its level's ids [{hi}, {hi})")
 
         if len(ends_nodes) == 1:
             return Routing(node_rows, ends_rows[0], ends_nodes[0])
         return Routing(node_rows, np.concatenate(ends_rows), np.concatenate(ends_nodes))
-
-    def _expand_hypotheses(self, hyp, rows, nodes, next_rows, next_nodes) -> None:
-        """Append the child occurrences of (row, hypothesis node) occurrences.
-
-        ``hyp`` is the base codes and the hypotheses in the hypotheses' dtype,
-        and each attribute's ``1 + offsets[i] - i``, made once per pass.
-        """
-        codes, hyp_codes, skip = hyp
-        _, label, _, first, _ = self._arena()
-        chunk = max(1, _ROUTE_CHUNK_CELLS // codes.shape[1])
-        for lo in range(0, len(rows), chunk):
-            r, v = rows[lo : lo + chunk], nodes[lo : lo + chunk]
-            f = first.take(v)
-            c = codes.take(r, axis=0)
-            h = hyp_codes.take(label.take(v), axis=0)
-            differs = c != h
-            n_differ = np.add.reduce(differs, axis=1)
-            child = f[:, None] + skip + c - (c > h)
-            next_rows.append(r.repeat(n_differ))
-            next_nodes.append(child[differs])
-            if np.count_nonzero(n_differ) < len(r):
-                holds = n_differ == 0
-                next_rows.append(r[holds])
-                next_nodes.append(f[holds])
 
     def serialize(self) -> str:
         """Deterministic one-node-per-line text form, ending in a newline.

@@ -9,8 +9,8 @@ counts, so counting is a single pass.
 
 Simulation replays one row through the tree.  At a hypothesis node whose
 hypothesis the row falsifies, a strategy picks which truthful counterexample
-to answer.  Validation takes every choice at once: one level-by-level routing
-pass (``DecisionTree.route_rows``) sends each row down all of its truthful
+to answer.  Validation takes every choice at once: one routing pass
+(``DecisionTree.route_rows``) sends each row down all of its truthful
 paths, and the same (row, node) occurrences serve as the structural check
 (recomputed subtable sizes, terminal labels) and as the exhaustive truthful
 simulation (the decision at every terminal a row reaches).  The routing is

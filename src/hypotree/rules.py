@@ -8,7 +8,7 @@ number of rows accepted.
 Per-row quality takes the best over all paths accepting the row: minimum
 premise length and maximum coverage.  Table-level figures average those
 per-row optima over all rows.  Both functions read them off the tree's
-level-by-level routing pass (``DecisionTree.route_rows``) with a few array
+routing pass (``DecisionTree.route_rows``) with a few array
 reductions over its terminal occurrences, and a path's edge count off
 ``DecisionTree.level_starts``.  That pass runs once per tree and its
 read-only result is kept, so ``rule_stats``, ``derive_rules`` and

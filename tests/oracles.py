@@ -32,10 +32,12 @@ def measure_value(name: str, labels) -> float:
         return float(n - max(counts.values()))
     if name == "rme":
         return (n - max(counts.values())) / n
+    # Summed in ascending count order, so one multiset of counts gives one
+    # double whatever order its labels come in.
     if name == "ent":
-        return -sum((c / n) * math.log2(c / n) for c in counts.values())
+        return -sum((c / n) * math.log2(c / n) for c in sorted(counts.values()))
     if name == "gini":
-        return 1.0 - sum((c / n) ** 2 for c in counts.values())
+        return 1.0 - sum((c / n) ** 2 for c in sorted(counts.values()))
     if name == "r":
         # Count unordered pairs of rows with different decisions directly.
         pairs = 0
@@ -53,25 +55,28 @@ def measure_value(name: str, labels) -> float:
 def attribute_answer_rows(table: DecisionTable, rows, attribute: int):
     """Row-index sets of each answer to an attribute query, value order."""
     rows = sorted(rows)
+    values = table.values.tolist()
     out = []
     for value in table.value_set(attribute):
-        out.append([r for r in rows if table.values[r][attribute] == value])
+        out.append([r for r in rows if values[r][attribute] == value])
     return out
 
 
 def hypothesis_answer_rows(table: DecisionTable, rows, hypothesis):
     """Row-index sets for the hypothesis answer then each counterexample."""
     rows = sorted(rows)
-    out = [[r for r in rows if tuple(table.values[r]) == tuple(hypothesis)]]
+    values = table.values.tolist()
+    out = [[r for r in rows if tuple(values[r]) == tuple(hypothesis)]]
     for i in range(table.n):
         for value in table.value_set(i):
             if value != hypothesis[i]:
-                out.append([r for r in rows if table.values[r][i] == value])
+                out.append([r for r in rows if values[r][i] == value])
     return out
 
 
 def _labels(table: DecisionTable, rows):
-    return [int(table.decisions[r]) for r in rows]
+    decisions = table.decisions.tolist()
+    return [decisions[r] for r in rows]
 
 
 def attribute_impurity(table: DecisionTable, rows, attribute: int, name: str):

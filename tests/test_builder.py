@@ -13,6 +13,7 @@ from hypotree import (
     DecisionTable,
     HypothesisQuery,
     NodeBudgetExceeded,
+    UncertaintyMeasure,
     answers,
     build_tree,
     get_measure,
@@ -501,3 +502,29 @@ class TestHypothesisValues:
                 chosen, _ = select_query(table.all_rows(), get_measure(measure), tree_type)
                 assert chosen == tree.query(0)
         assert n_hypotheses > 0
+
+
+class TestTracedNames:
+    def test_a_small_table_calls_each_traced_name(self, monkeypatch):
+        # perfbench's traced runs replace these attributes to time the build
+        # layers; a tiny-corpus table reaches them only on nodes expanded alone.
+        calls = []
+        for owner, name in (
+            (DecisionTable, "__init__"),
+            (builder, "branch_stats"),
+            (builder, "select_query_from_stats"),
+            (UncertaintyMeasure, "of_count_matrix"),
+        ):
+            def traced(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, traced)
+        table = DecisionTable(("f1", "f2", "f3"),
+                              [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1), (0, 0, 1)],
+                              [0, 0, 1, 1, 0, 1])
+        assert calls == ["__init__"]
+        for tree_type in (1, 2, 3, 4, 5):
+            calls.clear()
+            build_tree(table, tree_type, "me")
+            assert {"branch_stats", "select_query_from_stats", "of_count_matrix"} <= set(calls)

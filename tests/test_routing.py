@@ -85,6 +85,23 @@ class TestRouting:
                 tree._first[0] = first
                 with pytest.raises(ValueError):
                     tree.route_rows()
+            # A node some row reaches on the deepest level turns working, so
+            # its rows would move below that level: node 1 of the t1 tree
+            # (level starts 0, 1, 3) and node 8 of the t2 tree (0, 1, 5, 13).
+            for tree_type, node, kind in ((1, 1, builder.WORKING_ATTR),
+                                          (2, 8, builder.WORKING_HYP)):
+                tree = build_tree(t0, tree_type, "me")
+                assert tree.level_starts[-2] <= node and tree.route_rows().node_rows[node]
+                tree = build_tree(t0, tree_type, "me")
+                tree._kind[node] = kind
+                with pytest.raises(ValueError, match="outside its level"):
+                    validate(t0, tree)
+            # A one-node tree whose root turns into an attribute query.
+            table = DecisionTable(("f1",), [(0,), (1,)], [1, 1])
+            tree = build_tree(table, 1, "me")
+            tree._kind[0], tree._label[0] = builder.WORKING_ATTR, 0
+            with pytest.raises(ValueError, match="outside its level"):
+                tree.route_rows()
 
     def test_chunks_do_not_change_the_result(self, monkeypatch):
         table = ttt_centre_blank()
