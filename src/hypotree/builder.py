@@ -458,8 +458,13 @@ class DecisionTree:
             skip = 1 + base.offsets[:-1] - np.arange(base.n)
             chunk = max(1, _ROUTE_CHUNK_CELLS // base.n)
         for lo, hi in zip(starts, starts[1:]):
-            # A node outside the level makes bincount or the assignment raise.
-            node_rows[lo:hi] = np.bincount(nodes - lo, minlength=hi - lo)
+            try:
+                node_rows[lo:hi] = np.bincount(nodes - lo, minlength=hi - lo)
+            except ValueError:  # from bincount below ``lo``, from the assignment past ``hi``
+                outside = nodes[(nodes < lo) | (nodes >= hi)]
+                raise ValueError(
+                    f"node {outside[0]} reached outside its level's ids [{lo}, {hi})"
+                ) from None
             kind = kinds.take(nodes)
             n_term, n_attr, n_hyp = np.bincount(kind, minlength=3).tolist()
             if n_term:

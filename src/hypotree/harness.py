@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -343,6 +342,9 @@ def run_matrix(spec: ExperimentSpec) -> list[ReportCell]:
     if spec.workers == 1 or len(tasks) <= 1:
         batches = map(_run_task, tasks)
     else:
+        # Imported here: the pool's modules cost every ``import hypotree`` about 10 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             batches = list(pool.map(_run_task, tasks, chunksize=1))
     return [cell for batch in batches for cell in batch]

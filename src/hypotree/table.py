@@ -128,10 +128,13 @@ class DecisionTable:
 
     Internally every column is also kept in dense code form (positions within
     the sorted per-column value set); counting and partitioning work on codes
-    so arbitrary value alphabets cost nothing extra.  One private row index,
-    built at construction, maps each row's tuple of codes to its row number:
-    a table whose index has fewer entries than rows repeats a row and is
-    rejected, ``is_proper`` and the builder find a hypothesis's row by
+    so arbitrary value alphabets cost nothing extra.  The codes are found in
+    plain Python, one pass over each column through a ``{value: code}`` dict,
+    and each code array is made by one ``np.array`` call: on the small tables
+    most builds see, NumPy's cost per call would exceed the work.  One private
+    row index, built at construction, maps each row's tuple of codes to its
+    row number: a table whose index has fewer entries than rows repeats a row
+    and is rejected, ``is_proper`` and the builder find a hypothesis's row by
     looking up its codes, and the routing pass reads the rows' code tuples
     off its keys, which are in row order.
 
@@ -182,40 +185,41 @@ class DecisionTable:
             raise ConstraintError(
                 f"{vals.shape[0]} rows but {decs.shape[0]} decisions"
             )
-        if vals.size and int(vals.min()) < 0:
+        n_rows = int(vals.shape[0])
+        columns = vals.T.tolist()
+        value_sets = tuple(tuple(sorted(set(column))) for column in columns)
+        if n_rows and min(vs[0] for vs in value_sets) < 0:
             raise ConstraintError("attribute values must be nonnegative")
-        if decs.size and int(decs.min()) < 0:
+        dec_list = decs.tolist()
+        dec_values = sorted(set(dec_list))
+        if n_rows and dec_values[0] < 0:
             raise ConstraintError("decisions must be nonnegative")
 
         self.attribute_names = names
         self.n = len(names)
-        self.n_rows = int(vals.shape[0])
+        self.n_rows = n_rows
         self.values = vals
         self.decisions = decs
+        self.value_sets = value_sets
 
-        value_sets = []
         code_cols = []
-        for j in range(self.n):
-            uniq = np.unique(vals[:, j])
-            value_sets.append(tuple(uniq.tolist()))
-            code_cols.append(np.searchsorted(uniq, vals[:, j]).astype(np.int64, copy=False))
-        self.value_sets = tuple(value_sets)
-        self.codes = (
-            np.stack(code_cols, axis=1) if self.n_rows else np.zeros((0, self.n), np.int64)
-        )
-        self._row_index: dict[tuple[int, ...], int] = dict(
-            zip(zip(*self.codes.T.tolist()), range(self.n_rows))
-        )
-        if len(self._row_index) != self.n_rows:
+        for value_set, column in zip(value_sets, columns):
+            code_of = {v: c for c, v in enumerate(value_set)}
+            code_cols.append([code_of[v] for v in column])
+        self._row_index: dict[tuple[int, ...], int] = dict(zip(zip(*code_cols), range(n_rows)))
+        if len(self._row_index) != n_rows:
             raise ConstraintError("attribute vectors must be pairwise distinct")
+        self.codes = np.array(code_cols, dtype=np.int64).T.copy()
 
-        dec_uniq = np.unique(decs)
-        self.decision_values = dec_uniq
-        self.dec_codes = np.searchsorted(dec_uniq, decs).astype(np.int64, copy=False)
+        dec_code_of = {v: c for c, v in enumerate(dec_values)}
+        self.decision_values = np.array(dec_values, dtype=np.int64)
+        self.dec_codes = np.array([dec_code_of[v] for v in dec_list], dtype=np.int64)
 
-        sizes = np.array([len(vs) for vs in self.value_sets], dtype=np.int64)
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.branch_keys = (self.codes + self.offsets[:-1]) * max(len(dec_uniq), 1)
+        offsets = [0]
+        for value_set in value_sets:
+            offsets.append(offsets[-1] + len(value_set))
+        self.offsets = np.array(offsets, dtype=np.int64)
+        self.branch_keys = (self.codes + self.offsets[:-1]) * max(len(dec_values), 1)
         self.branch_keys += self.dec_codes[:, None]
 
         for arr in (self.values, self.decisions, self.codes, self.dec_codes,

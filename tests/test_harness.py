@@ -1,8 +1,13 @@
 """Experiment harness: loading, the run matrix, aggregation, rendering."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hypotree
 from hypotree import (
     BoolAggregate,
     DataError,
@@ -336,6 +341,19 @@ class TestRunMatrix:
         serial = run_matrix(ExperimentSpec(**base, workers=1))
         parallel = run_matrix(ExperimentSpec(**base, workers=3))
         assert key(serial) == key(parallel)
+
+    def test_import_loads_no_process_pool(self):
+        # The pool's modules load only when ``run_matrix`` makes a pool.
+        src = str(Path(hypotree.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; sys.path.insert(0, {src!r}); import hypotree; "
+             "print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout == "False\n"
 
 
 class TestAggregateBool:

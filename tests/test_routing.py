@@ -83,7 +83,7 @@ class TestRouting:
             for first in (0, 2):
                 tree = build_tree(t0, 1, "me")
                 tree._first[0] = first
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match="outside its level"):
                     tree.route_rows()
             # A node some row reaches on the deepest level turns working, so
             # its rows would move below that level: node 1 of the t1 tree

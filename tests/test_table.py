@@ -145,6 +145,78 @@ class TestConstruction:
         assert t.n_rows == 1
         assert t.all_rows().is_degenerate()
 
+    def test_encoding_matches_the_numpy_reference(self):
+        rng = np.random.default_rng(2024)
+        forms = {
+            "tuple": lambda a: tuple(map(tuple, a.tolist())) if a.ndim == 2 else tuple(a.tolist()),
+            "int64": lambda a: a.astype(np.int64),
+            "uint64": lambda a: a.astype(np.uint64),
+            "float": lambda a: a.astype(np.float64),
+            "bool": lambda a: a.astype(bool),
+        }
+        for _ in range(400):
+            n = int(rng.integers(1, 6))
+            form = list(forms)[int(rng.integers(len(forms)))]
+            if form == "bool":
+                alphabets = [np.array([0, 1])] * n
+                outcomes = np.array([0, 1])
+            else:  # gapped, with decisions up to 2**40
+                alphabets = [np.sort(rng.choice(60, size=int(rng.integers(1, 5)), replace=False))
+                             for _ in range(n)]
+                outcomes = rng.choice(np.array([0, 3, 7, 2**33, 2**40]),
+                                      size=int(rng.integers(1, 4)), replace=False)
+            drawn = [tuple(int(rng.choice(alphabet)) for alphabet in alphabets)
+                     for _ in range(int(rng.integers(0, 31)))]
+            rows = np.array(list(dict.fromkeys(drawn)), dtype=np.int64).reshape(-1, n)
+            decisions = rng.choice(outcomes, size=len(rows))
+            table = DecisionTable(tuple(f"a{j}" for j in range(n)),
+                                  forms[form](rows), forms[form](decisions))
+            expected = _reference_encoding(rows, decisions)
+            for name, want in expected.items():
+                got = getattr(table, name)
+                if name == "_row_index":  # its keys, values and order
+                    got = list(got.items())
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype == np.int64, name
+                    assert got.shape == want.shape, name
+                    assert np.array_equal(got, want), name
+                    assert got.flags.c_contiguous and not got.flags.writeable, name
+                else:
+                    assert got == want, name
+            assert all(type(v) is int for vs in table.value_sets for v in vs)
+            assert all(type(c) is int for key in table._row_index for c in key)
+
+    def test_negative_entries_are_reported_before_a_repeated_row(self):
+        with pytest.raises(ConstraintError, match="^attribute values must be nonnegative$"):
+            DecisionTable(("a", "b"), [(0, -1), (0, -1), (2, 3)], [-1, 0, 4])
+        with pytest.raises(ConstraintError, match="^decisions must be nonnegative$"):
+            DecisionTable(("a", "b"), [(0, 1), (0, 1), (2, 3)], [-1, 0, 4])
+
+
+def _reference_encoding(values: np.ndarray, decisions: np.ndarray) -> dict:
+    """The table's encoding by per-column ``np.unique`` and ``searchsorted``."""
+    vals = values.astype(np.int64)
+    decs = decisions.astype(np.int64)
+    uniques = [np.unique(vals[:, j]) for j in range(vals.shape[1])]
+    codes = np.zeros(vals.shape, np.int64)
+    for j, uniq in enumerate(uniques):
+        codes[:, j] = np.searchsorted(uniq, vals[:, j])
+    dec_uniq = np.unique(decs)
+    dec_codes = np.searchsorted(dec_uniq, decs).astype(np.int64)
+    offsets = np.concatenate([[0], np.cumsum([len(u) for u in uniques])]).astype(np.int64)
+    keys = (codes + offsets[:-1]) * max(len(dec_uniq), 1) + dec_codes[:, None]
+    return {
+        "values": vals,
+        "decisions": decs,
+        "value_sets": tuple(tuple(u.tolist()) for u in uniques),
+        "codes": codes,
+        "_row_index": list(zip(map(tuple, codes.tolist()), range(len(vals)))),
+        "decision_values": dec_uniq,
+        "dec_codes": dec_codes,
+        "offsets": offsets,
+        "branch_keys": keys,
+    }
+
 
 class TestSubtables:
     def test_selection_by_system(self, t0):
