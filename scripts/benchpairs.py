@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run alternating parent/change perfbench pairs and write ``BENCH_<n>.json``.
 
-    python3 scripts/benchpairs.py PARENT_REV [--pairs 10] [--out BENCH_21.json]
+    python3 scripts/benchpairs.py PARENT_REV [--pairs 10] [--traced] [--out BENCH_21.json]
 
 Each side runs from its own copy of the repository under a temporary
 directory: the parent from ``git archive PARENT_REV``, the change from the
@@ -16,9 +16,18 @@ sides of the pair share.  The side that runs first alternates: the parent in
 odd pairs, the change in even ones.  Workloads run one after another, never
 two runs at once.
 
+With ``--traced`` each side first makes one ``--trace 1`` run per workload,
+at a seed of its own, parent first.  Each traced run must report every
+per-layer metric ``BENCHMARK.json`` declares (a layer the workload never
+calls reports null, which counts as reported); a run that lacks one, or
+prints no result at all, makes the script name the metrics, keep what it
+measured and exit 1 before any pair runs.
+
 The output has ``what``, ``command``, ``sides``, ``host``, ``order``,
 ``notes`` and, per workload under ``end_to_end``, ``pairs``, ``seeds``,
-``seconds``, ``summary`` and the raw ``runs``.  A metric's ``summary`` holds
+``seconds``, ``summary`` and the raw ``runs``.  With ``--traced``, ``traced``
+holds per workload the same fields, its ``summary`` the two sides' medians
+of each per-layer metric both report a value for.  A metric's ``summary`` holds
 its quartiles on each side, the pairs in which the change was better (a tie
 counts for neither side) and the change/parent ratio of the medians.  The
 file is rewritten after every pair, so an interrupted run keeps what it
@@ -45,7 +54,7 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0"
+COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace {trace}"
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -94,6 +103,22 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
     return summary
 
 
+def summarize_traced(runs: list[dict], per_layer: list[dict]) -> dict[str, dict]:
+    """Per declared per-layer metric that both sides report a value for: each side's median."""
+    summary = {}
+    for metric in per_layer:
+        name = metric["name"]
+        medians = {}
+        for side in ("parent", "change"):
+            values = [run["metrics"][name] for run in runs
+                      if run["side"] == side and run["metrics"].get(name) is not None]
+            if values:
+                medians[f"{side}_median"] = round(statistics.median(values), 5)
+        if len(medians) == 2:
+            summary[name] = medians
+    return summary
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -130,11 +155,11 @@ def parse_result(stdout: str) -> dict | None:
     return record
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One perfbench run's record, or the failure."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     record = parse_result(proc.stdout)
@@ -165,11 +190,39 @@ def write(path: Path, report: dict) -> None:
     partial.replace(path)
 
 
+def run_traced(checkouts: dict[str, Path], bench: dict, seed: int, report: dict,
+               out: Path) -> list[str]:
+    """One traced run per side and workload into ``report["traced"]``; what any lacks."""
+    seconds = bench["run_seconds"]
+    report["traced"] = {}
+    report["notes"].append(
+        f"Traced runs ({COMMAND.format(seconds=seconds, trace=1)}) came first, "
+        "one per side and workload, the parent first.")
+    lacking = []
+    for workload in (w["name"] for w in bench["workloads"]):
+        runs = []
+        for side in ("parent", "change"):
+            result = run_side(checkouts[side], workload, seed, seconds, trace=1)
+            runs.append({"side": side, "seed": seed, **result})
+            print(f"{workload} traced {side}: {json.dumps(result)}", file=sys.stderr, flush=True)
+            missing = [m["name"] for m in bench["per_layer"] if m["name"] not in result["metrics"]]
+            if missing:
+                lacking.append(f"{workload} {side}: traced run lacks {', '.join(missing)}")
+        report["traced"][workload] = {
+            "pairs": 1, "seeds": [seed], "seconds": seconds,
+            "summary": summarize_traced(runs, bench["per_layer"]), "runs": runs,
+        }
+        write(out, report)
+    return lacking
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_rev", metavar="PARENT_REV")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--traced", action="store_true",
+                        help="first one --trace 1 run per side and workload")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -184,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     seeds = [base_seed + i for i in range(1, args.pairs + 1)]
     report = {
         "what": f"perfbench pairs: the working tree against commit {parent}",
-        "command": COMMAND.format(seconds=seconds),
+        "command": COMMAND.format(seconds=seconds, trace=0),
         "sides": {
             "parent": f"commit {parent}",
             "change": f"the working tree on {head}; each side run from its own copy "
@@ -200,6 +253,12 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         checkout_parent(args.parent_rev, checkouts["parent"])
         checkout_change(checkouts["change"])
+        if args.traced:
+            lacking = run_traced(checkouts, bench, base_seed + args.pairs + 1, report, out)
+            for line in lacking:
+                print(f"error: {line}", file=sys.stderr)
+            if lacking:
+                return 1
         for workload in (w["name"] for w in bench["workloads"]):
             runs: list[dict] = []
             entry = {"pairs": 0, "seeds": [], "seconds": seconds, "summary": {}, "runs": runs}

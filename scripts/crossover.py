@@ -8,8 +8,11 @@ passes under three settings each, on the package under ``src/``:
 
 * build (``build_tree``): every level node by node, every level batched,
   and as shipped;
-* routing (``DecisionTree.route_rows``' pass): every tree in plain Python,
-  every tree in NumPy, and as shipped.
+* routing (``DecisionTree.route_rows``' pass and the readers over it,
+  ``rules._row_optima`` and ``metrics.validate``, which ``_WIDE_ROUTING``
+  switches with it): every tree in plain Python, every tree in NumPy, and
+  as shipped.  A tree keeps its routing, so each round times fresh trees
+  over the same arena.
 
 The inputs are seeded random tables of 4-63 rows and 2-9 attributes of 2-4
 values, with two or three decision values, and the Boolean suites n=3..6
@@ -43,7 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import hypotree.builder as builder  # noqa: E402
-from hypotree import BoolSuiteSpec, DecisionTable, build_tree, table_of  # noqa: E402
+from hypotree import BoolSuiteSpec, DecisionTable, build_tree, table_of, validate  # noqa: E402
+from hypotree.rules import _row_optima  # noqa: E402
 
 TYPES = (1, 2, 3, 4, 5)
 MEASURE = "me"
@@ -104,9 +108,25 @@ def timed(work) -> int:
         gc.enable()
 
 
+def fresh(tree: builder.DecisionTree) -> builder.DecisionTree:
+    """A tree over the same arena that has neither routing nor views yet."""
+    return builder.DecisionTree(tree.base, tree.tree_type, tree.measure_name, tree._kind,
+                                tree._label, tree._first, tree._nrows, tree._hyp_codes,
+                                tree._starts)
+
+
+def route_and_read(tree: builder.DecisionTree) -> None:
+    """The routing pass and the readers that share its form, as a grid cell calls them."""
+    _row_optima(tree.base, tree, tree.route_rows())
+    validate(tree.base, tree)
+
+
 def time_settings(jobs: dict[str, list], constant: str, settings: dict[str, int], run,
-                  rounds: int):
-    """``ns[setting][group]``: one CPU time per round of running every job of the group."""
+                  rounds: int, prepare=list):
+    """``ns[setting][group]``: one CPU time per round of running every job of the group.
+
+    ``prepare`` makes each round's items from a group's jobs, untimed.
+    """
     ns = {s: {g: [] for g in jobs} for s in settings}
     names = list(settings)
     for round_ in range(rounds):
@@ -114,6 +134,7 @@ def time_settings(jobs: dict[str, list], constant: str, settings: dict[str, int]
         for setting in turn:
             setattr(builder, constant, settings[setting])
             for group, items in jobs.items():
+                items = prepare(items)
                 ns[setting][group].append(timed(lambda: [run(item) for item in items]))
     return ns
 
@@ -175,10 +196,10 @@ def main() -> None:
         print()
     if "routing" in passes:
         trees = {g: [build_tree(t, k, MEASURE) for t, k in jobs] for g, jobs in builds.items()}
-        ns = time_settings(trees, "_WIDE_ROUTING", ROUTE_SETTINGS,
-                           lambda tree: tree._route(), args.rounds)
+        ns = time_settings(trees, "_WIDE_ROUTING", ROUTE_SETTINGS, route_and_read,
+                           args.rounds, prepare=lambda items: [fresh(t) for t in items])
         builder._WIDE_ROUTING = ROUTE_SETTINGS["shipped"]
-        report("routing", trees, ns)
+        report("routing and its readers", trees, ns)
         best_threshold(trees, ns)
 
 

@@ -83,6 +83,14 @@ about ten calls a level would dominate.  A larger table is routed one level
 at a time, from the root down, in a few NumPy passes over all of the
 level's (row, node) occurrences.  Both ways give the same ``Routing`` up to
 the order of its terminal occurrences.
+
+The same table-size test (``DecisionTree._in_python``) picks the form of
+every pass over a tree's routing, not only of the routing itself.  Below
+``_WIDE_ROUTING`` rows, ``rules``' per-row optima, ``metrics.validate``'s
+verdict on a clean tree and ``metrics.realizable_count`` loop over the
+arena's ``array`` columns and the routing's ``tolist()`` lists, and make no
+NumPy view of the arena; from there up they reduce NumPy arrays.  The depth
+is read off the ``array`` of level starts for every size.
 """
 
 from __future__ import annotations
@@ -137,12 +145,14 @@ _ROUTE_CHUNK_CELLS = 1 << 18
 _SERIALIZE_BLOCK = 4096
 
 # Tables of at least this many rows route in NumPy, smaller ones in plain
-# Python (``DecisionTree.route_rows``).  Set from the crossover of
-# ``scripts/crossover.py`` (t1-t5 trees of random tables of 4-63 rows and of
-# the Boolean suites n=3..6): in three runs the least total routing time fell
-# at 13 rows, under 0.2 % below 12, as the row-by-row walk routed the 12-row
-# tables 1-4 % faster than NumPy.
-_WIDE_ROUTING = 13
+# Python (``DecisionTree.route_rows``), and the readers of a tree's routing
+# take the same form (``DecisionTree._in_python``).  Set from the crossover
+# of ``scripts/crossover.py``, which times the routing pass together with
+# ``rules._row_optima`` and ``validate`` over it (t1-t5 trees of random
+# tables of 4-63 rows and of the Boolean suites n=3..6): in three runs the
+# least total fell at 12 rows, 0.1 % or less below 13, as NumPy took 9-15 %
+# less time than plain Python on the 12-row tables.
+_WIDE_ROUTING = 12
 
 # The first level with at least this many nodes to expand, and every level
 # below it, is built in NumPy passes over the whole level; the levels above
@@ -228,7 +238,8 @@ class DecisionTree:
     """An arena-backed tree over a base table.
 
     Read-only numpy views of the arena's four columns and of the level
-    starts are exposed for the metrics, made on first use; the per-node
+    starts are exposed for the metrics, each made on the first read of its
+    own column and following later writes to it; the per-node
     accessors materialize query objects on demand.  Node 0 is the
     root.  ``path_row_counts[i]`` is the number of base-table rows matching
     the equations on the path to node ``i``.  A working node's child count
@@ -272,45 +283,40 @@ class DecisionTree:
         self._nrows = nrows
         self._hyp_codes = hyp_codes
         self._starts = level_starts
-        self._views: tuple[np.ndarray, ...] | None = None
+        self._views: dict[str, np.ndarray] = {}
         self._routing: Routing | None = None
 
     @property
     def node_count(self) -> int:
         return len(self._kind)
 
-    def _arena(self) -> tuple[np.ndarray, ...]:
-        # Made once; the views follow later writes to the arena's elements.
-        if self._views is None:
-            self._views = (
-                self._as_np(self._kind, np.int8),
-                self._as_np(self._label, np.int64),
-                self._as_np(self._nrows, np.int64),
-                self._as_np(self._first, np.int64),
-                self._as_np(self._starts, np.int64),
-            )
-        return self._views
+    def _view(self, column: str, dtype) -> np.ndarray:
+        # Made on the column's first read; it follows later writes to the column's elements.
+        view = self._views.get(column)
+        if view is None:
+            view = self._views[column] = self._as_np(getattr(self, column), dtype)
+        return view
 
     @property
     def kinds(self) -> np.ndarray:
-        return self._arena()[0]
+        return self._view("_kind", np.int8)
 
     @property
     def labels(self) -> np.ndarray:
         """Decision of each terminal; attribute or hypothesis index of each query."""
-        return self._arena()[1]
+        return self._view("_label", np.int64)
 
     @property
     def path_row_counts(self) -> np.ndarray:
-        return self._arena()[2]
+        return self._view("_nrows", np.int64)
 
     @property
     def first_children(self) -> np.ndarray:
-        return self._arena()[3]
+        return self._view("_first", np.int64)
 
     @property
     def level_starts(self) -> np.ndarray:
-        return self._arena()[4]
+        return self._view("_starts", np.int64)
 
     @staticmethod
     def _as_np(arr: array, dtype) -> np.ndarray:
@@ -349,6 +355,14 @@ class DecisionTree:
             return range(first, first + len(base.value_sets[self._label[node]]))
         return range(first, first + 1 + base.total_branches - base.n)
 
+    def _in_python(self) -> bool:
+        """Whether the passes over this tree's routing run in plain Python.
+
+        The one table-size test of the module docstring: fewer than
+        ``_WIDE_ROUTING`` base-table rows, read at call time.
+        """
+        return self.base.n_rows < _WIDE_ROUTING
+
     def route_rows(self) -> Routing:
         """Route every base-table row along all of its truthful paths.
 
@@ -372,7 +386,8 @@ class DecisionTree:
         ``first + 1 + offsets[i] - i + c - (c > hypothesis code)``.
 
         One form serves the whole tree, picked by the table's size
-        (``_WIDE_ROUTING`` records the measured crossover).  A table of
+        (``_in_python``; ``_WIDE_ROUTING`` records the measured crossover),
+        and the readers of the routing take the same form.  A table of
         fewer than ``_WIDE_ROUTING`` rows is routed in plain Python, one row
         at a time, by a stack walk of (node, level) pairs over the row's
         codes.  A larger table is routed by ``_route_wide``, one level at a
@@ -387,9 +402,9 @@ class DecisionTree:
 
     def _route(self) -> Routing:
         """The routing pass itself, as ``route_rows`` describes it."""
-        base = self.base
-        if base.n_rows >= _WIDE_ROUTING:
+        if not self._in_python():
             return self._route_wide()
+        base = self.base
         kind, label, first, hyp_codes = self._kind, self._label, self._first, self._hyp_codes
         n = base.n
         # Each level's id range, and past the deepest an empty one.
@@ -442,7 +457,7 @@ class DecisionTree:
         chunks of at most ``_ROUTE_CHUNK_CELLS`` (row, attribute) cells,
         comparing codes in the narrow dtype the hypotheses are stored in.
         """
-        kinds, label, _, first, _ = self._arena()
+        kinds, label, first = self.kinds, self.labels, self.first_children
         base = self.base
         codes = base.codes
         starts = self._starts.tolist()

@@ -18,6 +18,15 @@ computed once per tree and kept, read-only, so ``validate`` after
 ``rule_stats`` or ``derive_rules`` reuses it.  It depends only on the tree's
 shape, its queries and the base table's codes; the terminal labels and
 recorded subtable sizes it is checked against are read afresh on each call.
+
+One table-size test picks the form of every pass over a tree's routing
+(``DecisionTree._in_python``, see the ``builder`` module docstring).  On a
+table of fewer than ``builder._WIDE_ROUTING`` rows, ``realizable_count``
+counts the ``array`` of recorded sizes and ``validate`` first checks the
+tree in plain Python, returning at once when it finds nothing; only a tree
+with some violation goes on to the NumPy code that words the violations,
+so both forms list them alike.  ``depth`` reads the ``array`` of level
+starts for every table size.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .table import ConstraintError, DecisionTable, EquationSystem, _as_int
-from .builder import TERMINAL, DecisionTree
+from .builder import TERMINAL, DecisionTree, Routing
 from .queries import AttributeQuery, Hypothesis
 
 __all__ = [
@@ -75,12 +84,14 @@ def depth(tree: DecisionTree) -> int:
     holds only terminals, so this is the number of levels below the root:
     ``level_starts`` has one entry per level plus the node count.
     """
-    return len(tree.level_starts) - 2
+    return len(tree._starts) - 2
 
 
 def realizable_count(table: DecisionTable, tree: DecisionTree) -> int:
     """Number of nodes whose path subtable is nonempty."""
     _check_pair(table, tree)
+    if tree._in_python():  # ``array.count`` is far slower than NumPy on large trees
+        return tree.node_count - tree._nrows.count(0)
     return int(np.count_nonzero(tree.path_row_counts > 0))
 
 
@@ -188,6 +199,8 @@ def validate(table: DecisionTable, tree: DecisionTree) -> ValidationReport:
     _check_pair(table, tree)
     report = ValidationReport(rows_simulated=table.n_rows)
     routing = tree.route_rows()
+    if tree._in_python() and _passes_in_python(table, tree, routing):
+        return report
     reached = routing.node_rows
     recorded = tree.path_row_counts
     labels = tree.labels
@@ -240,3 +253,25 @@ def validate(table: DecisionTable, tree: DecisionTree) -> ValidationReport:
                 f"deciding {labels[terminal]}, expected {decisions[row]}"
             )
     return report
+
+
+def _passes_in_python(table: DecisionTable, tree: DecisionTree, routing: Routing) -> bool:
+    """Whether ``validate`` finds no violation, read in plain Python.
+
+    The same three checks as its NumPy form, without their diagnostics:
+    every recorded subtable size equals the routed one, every terminal
+    occurrence's label is its row's decision, and every terminal no row
+    reaches carries 0.
+    """
+    reached = routing.node_rows.tolist()
+    if reached != tree._nrows.tolist():
+        return False
+    labels = tree._label
+    decisions = table.decisions.tolist()
+    for r, v in zip(routing.rows.tolist(), routing.terminals.tolist()):
+        if labels[v] != decisions[r]:
+            return False
+    for kind, label, count in zip(tree._kind, labels, reached):
+        if label and not count and kind == TERMINAL:
+            return False
+    return True

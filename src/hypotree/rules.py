@@ -8,9 +8,12 @@ number of rows accepted.
 Per-row quality takes the best over all paths accepting the row: minimum
 premise length and maximum coverage.  Table-level figures average those
 per-row optima over all rows.  Both functions read them off the tree's
-routing pass (``DecisionTree.route_rows``) with a few array
-reductions over its terminal occurrences, and a path's edge count off
-``DecisionTree.level_starts``.  That pass runs once per tree and its
+routing pass (``DecisionTree.route_rows``) and a path's edge count off
+the tree's level starts.  The table-size test that picks the form of the
+routing pass (``DecisionTree._in_python``) picks the form of this reading
+too: below ``builder._WIDE_ROUTING`` rows one plain-Python loop over the
+terminal occurrences, from there up a few array reductions over them,
+with the same arrays either way.  That pass runs once per tree and its
 read-only result is kept, so ``rule_stats``, ``derive_rules`` and
 ``validate`` on one tree share it; it depends only on the tree's shape, its
 queries and the base table's codes.  ``rule_stats`` stops there, which is
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,7 +95,13 @@ def _row_optima(
     attribute count when the path ends by confirming a hypothesis, whose
     system mentions every attribute.  A terminal's coverage is the number of
     rows reaching it.
+
+    For a tree whose routing passes run in plain Python
+    (``DecisionTree._in_python``) this is one loop over the terminal
+    occurrences, with the same result and the same error.
     """
+    if tree._in_python():
+        return _row_optima_in_python(table, tree, routing)
     # A path's edge count is its terminal's level: how many levels below the
     # root start at or before it.
     length = tree.level_starts[1:].searchsorted(routing.terminals, "right")
@@ -106,6 +116,27 @@ def _row_optima(
     if np.count_nonzero(coverages) < table.n_rows:
         raise ConstraintError("some rows are not covered by any complete path")
     return lengths, coverages
+
+
+def _row_optima_in_python(
+    table: DecisionTable, tree: DecisionTree, routing: Routing
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_row_optima`` over the arena's ``array`` columns and the routing's lists."""
+    n, starts = table.n, tree._starts
+    holds = {f for k, f in zip(tree._kind, tree._first) if k == WORKING_HYP}
+    node_rows = routing.node_rows.tolist()
+    lengths = [_NO_RULE] * table.n_rows
+    coverages = [0] * table.n_rows
+    for r, v in zip(routing.rows.tolist(), routing.terminals.tolist()):
+        # A path's edge count is its terminal's level, as in the NumPy form.
+        length = n if v in holds else bisect_right(starts, v, 1) - 1
+        if length < lengths[r]:
+            lengths[r] = length
+        if node_rows[v] > coverages[r]:
+            coverages[r] = node_rows[v]
+    if 0 in coverages:
+        raise ConstraintError("some rows are not covered by any complete path")
+    return np.array(lengths, dtype=np.int64), np.array(coverages, dtype=np.int64)
 
 
 def derive_rules(table: DecisionTable, tree: DecisionTree) -> RuleSet:

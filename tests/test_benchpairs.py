@@ -80,3 +80,79 @@ def test_a_result_line_becomes_bare_metric_values():
     }
     assert benchpairs.parse_result("") is None
     assert benchpairs.parse_result("Traceback ...\n") is None
+
+
+BENCH = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+PER_LAYER = [m["name"] for m in BENCH["per_layer"]]
+END_TO_END = [m["name"] for m in BENCH["end_to_end"]]
+
+
+def fake_runs(monkeypatch, lacking=None):
+    """Replace the checkouts and perfbench runs; ``lacking(workload, side)`` names
+    the per-layer metrics a traced run leaves out, or ``None`` for no result at all.
+    Returns the list of (workload, side, trace) calls made."""
+    calls = []
+
+    def run_side(checkout, workload, seed, seconds, trace=0):
+        side = checkout.name
+        calls.append((workload, side, trace))
+        if not trace:
+            return {"correct": True, "attempted": 1, "failed": 0,
+                    "metrics": {name: 2.0 if side == "parent" else 1.0 for name in END_TO_END}}
+        left_out = lacking(workload, side) if lacking else []
+        if left_out is None:  # perfbench printed no result line
+            return {"correct": False, "attempted": 0, "failed": None, "metrics": {},
+                    "error": "exit 1: Traceback"}
+        metrics = {name: 3.0 if side == "parent" else 1.5 for name in PER_LAYER
+                   if name not in left_out}
+        metrics["boolgen.generate_s"] = None  # a layer the workload never calls
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(benchpairs, "run_side", run_side)
+    monkeypatch.setattr(benchpairs, "checkout_parent", lambda rev, into: None)
+    monkeypatch.setattr(benchpairs, "checkout_change", lambda into: None)
+    monkeypatch.setattr(benchpairs, "git", lambda *args: "abc1234")
+    return calls
+
+
+def test_traced_runs_come_first_and_their_medians_are_written(tmp_path, monkeypatch):
+    calls = fake_runs(monkeypatch)
+    out = tmp_path / "BENCH_99.json"
+    assert benchpairs.main(["HEAD", "--pairs", "2", "--traced", "--out", str(out)]) == 0
+    workloads = [w["name"] for w in BENCH["workloads"]]
+    traced = [(w, side, 1) for w in workloads for side in ("parent", "change")]
+    assert calls[: len(traced)] == traced
+    assert all(trace == 0 for _, _, trace in calls[len(traced):])
+    report = json.loads(out.read_text())
+    assert list(report["traced"]) == list(report["end_to_end"]) == workloads
+    for entry in report["traced"].values():
+        assert entry["pairs"] == 1 and entry["seeds"] == [9903]
+        assert [run["side"] for run in entry["runs"]] == ["parent", "change"]
+        assert set(entry["summary"]) == set(PER_LAYER) - {"boolgen.generate_s"}
+        assert entry["summary"]["builder.self_s"] == {"parent_median": 3.0,
+                                                      "change_median": 1.5}
+    assert report["end_to_end"]["tiny-corpus"]["seeds"] == [9901, 9902]
+
+
+def test_a_traced_run_lacking_a_declared_metric_stops_the_runner(tmp_path, monkeypatch,
+                                                                  capsys):
+    def lacking(workload, side):
+        if workload == "ttt-hyp" and side == "change":
+            return ["builder.self_s"]
+        if workload == "tiny-corpus" and side == "parent":
+            return None
+        return []
+
+    calls = fake_runs(monkeypatch, lacking)
+    out = tmp_path / "BENCH_99.json"
+    assert benchpairs.main(["HEAD", "--pairs", "2", "--traced", "--out", str(out)]) == 1
+    assert all(trace == 1 for _, _, trace in calls)  # no pair ran
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert errors == [
+        "error: ttt-hyp change: traced run lacks builder.self_s",
+        "error: tiny-corpus parent: traced run lacks " + ", ".join(PER_LAYER),
+    ]
+    report = json.loads(out.read_text())
+    assert set(report["traced"]) == {w["name"] for w in BENCH["workloads"]}
+    assert report["end_to_end"] == {}

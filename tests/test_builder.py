@@ -134,6 +134,22 @@ class TestStructure:
         assert len(tree.children(0)) == 4
         assert tree.first_children[1] == -1
 
+    def test_each_view_is_made_alone_on_its_first_read(self, t0):
+        tree = build_tree(t0, 2, "me")
+        columns = {"kinds": "_kind", "labels": "_label", "path_row_counts": "_nrows",
+                   "first_children": "_first", "level_starts": "_starts"}
+        made = set()
+        for name, column in columns.items():
+            view = getattr(tree, name)
+            made.add(column)
+            assert set(tree._views) == made
+            assert getattr(tree, name) is view
+            assert not view.flags.writeable
+            assert view.tolist() == getattr(tree, column).tolist()
+        tree._label[2] = 5  # a view follows later writes to its column
+        tree._nrows[8] = 3
+        assert tree.labels[2] == 5 and tree.path_row_counts[8] == 3
+
     def test_accessor_errors(self, t0):
         tree = build_tree(t0, 1, "me")
         with pytest.raises(ConstraintError):

@@ -1,12 +1,25 @@
 """The routing pass against per-node reference walks, and its two ways of routing a tree."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from hypotree import DecisionTable, build_tree, datasets, derive_rules, rule_stats, validate
+from hypotree import (
+    ConstraintError,
+    DecisionTable,
+    build_tree,
+    datasets,
+    depth,
+    derive_rules,
+    realizable_count,
+    rule_stats,
+    validate,
+)
 import hypotree.builder as builder
+from hypotree.builder import TERMINAL, Routing
+from hypotree.rules import _row_optima
 
 import oracles
 from test_queries import random_table
@@ -220,3 +233,130 @@ class TestViolationOrder:
             "row 2: a computation reaches terminal 2 deciding 5, expected 2",
             "row 3: a computation reaches terminal 2 deciding 5, expected 2",
         ]
+
+
+MEASURES = ("me", "rme", "ent", "gini", "r")
+IN_NUMPY, IN_PYTHON = 0, 1 << 62  # values of ``_WIDE_ROUTING``
+
+
+def small_table(rng: random.Random) -> DecisionTable:
+    """1-12 distinct rows over 1-4 attributes of gapped 1-3 value alphabets."""
+    n_rows = rng.randint(1, 12)
+    while True:
+        alphabets = [sorted(rng.sample(range(6), rng.randint(1, 3)))
+                     for _ in range(rng.randint(1, 4))]
+        grid = list(itertools.product(*alphabets))
+        if len(grid) >= n_rows:
+            break
+    rows = rng.sample(grid, n_rows)
+    labels = rng.sample((0, 3, 8), rng.randint(2, 3))
+    decisions = [rng.choice(labels) for _ in rows]
+    names = [f"f{i + 1}" for i in range(len(alphabets))]
+    return DecisionTable(names, np.array(rows), np.array(decisions))
+
+
+# Each tampering edits the tree after its build and says whether it found
+# something to edit.
+def reached_label(tree) -> bool:
+    """The last reached terminal gets a label no row decides."""
+    at = [v for v in range(tree.node_count) if tree._kind[v] == TERMINAL and tree._nrows[v]]
+    tree._label[at[-1]] = 99
+    return True
+
+
+def unreached_label(tree) -> bool:
+    at = [v for v in range(tree.node_count) if tree._kind[v] == TERMINAL and not tree._nrows[v]]
+    if at:
+        tree._label[at[0]] = 7
+    return bool(at)
+
+
+def recorded_count(tree) -> bool:
+    tree._nrows[tree.node_count // 2] += 2
+    return True
+
+
+def every_tampering(tree) -> bool:
+    return any([tamper(tree) for tamper in (reached_label, unreached_label, recorded_count)])
+
+
+TAMPERINGS = (None, reached_label, unreached_label, recorded_count, every_tampering)
+
+
+def reader_outputs(table, tree_type, measure, tamper):
+    """Every reader's output on a fresh tree, tampered after the build if asked."""
+    tree = build_tree(table, tree_type, measure)
+    tampered = tamper is not None and tamper(tree)
+    stats = rule_stats(table, tree)
+    rules = derive_rules(table, build_tree(table, tree_type, measure))  # routes a tree itself
+    report = validate(table, tree)
+    return {
+        "depth": depth(tree),
+        "realizable": realizable_count(table, tree),
+        "stats": (stats.row_lengths, stats.row_coverages),
+        "rules": (rules.rules, rules.row_lengths, rules.row_coverages),
+        "violations": report.violations,
+        "rows_simulated": report.rows_simulated,
+        "ok": report.ok,
+        "tampered": tampered,
+    }
+
+
+def reader_cases():
+    rng = random.Random(2022)
+    for index in range(30):
+        yield pytest.param(small_table(rng), id=f"small{index}")
+
+
+class TestReaderForms:
+    """Rule optima, ``validate`` and ``realizable_count`` read the same in both forms."""
+
+    @pytest.mark.parametrize("table", reader_cases())
+    def test_both_forms_agree(self, table, monkeypatch):
+        assert table.n_rows <= 12
+        for tree_type in (1, 2, 3, 4, 5):
+            for measure in MEASURES:
+                for tamper in TAMPERINGS:
+                    got = []
+                    for wide_from in (IN_NUMPY, IN_PYTHON):
+                        monkeypatch.setattr(builder, "_WIDE_ROUTING", wide_from)
+                        got.append(reader_outputs(table, tree_type, measure, tamper))
+                    in_numpy, in_python = got
+                    assert in_numpy["ok"] != in_numpy["tampered"]
+                    for key in ("depth", "realizable", "violations", "rows_simulated"):
+                        assert in_numpy[key] == in_python[key]
+                    for a, b in zip(in_numpy["stats"] + in_numpy["rules"][1:],
+                                    in_python["stats"] + in_python["rules"][1:]):
+                        assert a.dtype == b.dtype == np.int64
+                        assert np.array_equal(a, b)
+                    assert in_numpy["rules"][0] == in_python["rules"][0]
+
+    @pytest.mark.parametrize("wide_from", [IN_NUMPY, IN_PYTHON])
+    def test_uncovered_rows_rejected_in_both_forms(self, wide_from, monkeypatch):
+        monkeypatch.setattr(builder, "_WIDE_ROUTING", wide_from)
+        rng = random.Random(7)
+        for _ in range(10):
+            table = small_table(rng)
+            for tree_type in (1, 2, 4):
+                tree = build_tree(table, tree_type, "me")
+                routing = tree.route_rows()
+                keep = routing.rows != table.n_rows - 1
+                dropped = Routing(routing.node_rows, routing.rows[keep], routing.terminals[keep])
+                with pytest.raises(ConstraintError, match="not covered"):
+                    _row_optima(table, tree, dropped)
+
+    def test_small_tree_readers_make_no_view(self, monkeypatch):
+        def no_view(arr, dtype):
+            raise AssertionError("a reader made a NumPy view of the arena")
+
+        monkeypatch.setattr(builder.DecisionTree, "_as_np", staticmethod(no_view))
+        table = DecisionTable(("f1", "f2"), [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)],
+                              [0, 1, 1, 0, 2, 0])
+        assert table.n_rows == 6 < builder._WIDE_ROUTING
+        for tree_type in (1, 2, 3, 4, 5):
+            tree = build_tree(table, tree_type, "me")
+            depth(tree)
+            realizable_count(table, tree)
+            rule_stats(table, tree)
+            assert validate(table, tree).ok
+            assert not tree._views
