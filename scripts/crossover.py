@@ -4,10 +4,11 @@
 Each tree pass has a node-by-node or plain-Python form for small work and a
 NumPy form for wide work; ``_WIDE_FRONTIER`` and ``_WIDE_ROUTING`` in
 ``src/hypotree/builder.py`` pick between them.  This script times both
-passes under three settings each, on the package under ``src/``:
+passes under several settings each, on the package under ``src/``:
 
 * build (``build_tree``): every level node by node, every level batched,
-  and as shipped;
+  the narrow nodes of every table in plain Python, those of every table in
+  NumPy (``_WIDE_ROUTING`` switches them with the routing), and as shipped;
 * routing (``DecisionTree.route_rows``' pass and the readers over it,
   ``rules._row_optima`` and ``metrics.validate``, which ``_WIDE_ROUTING``
   switches with it): every tree in plain Python, every tree in NumPy, and
@@ -19,14 +20,14 @@ values, with two or three decision values, and the Boolean suites n=3..6
 (100 functions each, seed 42), each built as t1-t5 under ``me``.  The
 settings take turns within each round; a group's figure is its trees' mean
 CPU microseconds in the best round, and a total is the sum of a round's
-times, given as the median and the range over the rounds.  The routing
-report ends with the threshold, in table rows, that the best-round figures
-favour: every group below it routed in Python, every group from it in
-NumPy.  It is a measurement, not a test:
+times, given as the median and the range over the rounds.  Each report
+ends with the threshold, in table rows, that the best-round figures of its
+Python and NumPy settings favour: every group below it in Python, every
+group from it in NumPy.  It is a measurement, not a test:
 
     python3 scripts/crossover.py [--rounds 3] [--passes build,routing]
 
-The defaults take about four minutes on a 2-core host, most of it building
+The defaults take about five minutes on a 2-core host, most of it building
 the larger tables node by node; ``--passes routing`` takes about one.
 """
 
@@ -55,8 +56,17 @@ BOOL_NS = (3, 4, 5, 6)
 SEED = 1
 TABLES_PER_SIZE = 12  # random tables of each size from 4 to 63 rows
 EVERY, NEVER = 0, 1 << 62
-BUILD_SETTINGS = {"node by node": NEVER, "batched": 1, "shipped": builder._WIDE_FRONTIER}
-ROUTE_SETTINGS = {"python": NEVER, "numpy": EVERY, "shipped": builder._WIDE_ROUTING}
+# Each setting overrides some of the shipped constants, by name.
+SHIPPED = {name: getattr(builder, name) for name in ("_WIDE_FRONTIER", "_WIDE_ROUTING")}
+BUILD_SETTINGS = {
+    "node by node": {"_WIDE_FRONTIER": NEVER},
+    "batched": {"_WIDE_FRONTIER": 1},
+    "python": {"_WIDE_ROUTING": NEVER},
+    "numpy": {"_WIDE_ROUTING": EVERY},
+    "shipped": {},
+}
+ROUTE_SETTINGS = {"python": {"_WIDE_ROUTING": NEVER}, "numpy": {"_WIDE_ROUTING": EVERY},
+                  "shipped": {}}
 
 
 def random_table(rng: random.Random, n_rows: int) -> DecisionTable:
@@ -121,7 +131,7 @@ def route_and_read(tree: builder.DecisionTree) -> None:
     validate(tree.base, tree)
 
 
-def time_settings(jobs: dict[str, list], constant: str, settings: dict[str, int], run,
+def time_settings(jobs: dict[str, list], settings: dict[str, dict[str, int]], run,
                   rounds: int, prepare=list):
     """``ns[setting][group]``: one CPU time per round of running every job of the group.
 
@@ -132,10 +142,13 @@ def time_settings(jobs: dict[str, list], constant: str, settings: dict[str, int]
     for round_ in range(rounds):
         turn = names[round_ % len(names):] + names[: round_ % len(names)]
         for setting in turn:
-            setattr(builder, constant, settings[setting])
+            for name, value in {**SHIPPED, **settings[setting]}.items():
+                setattr(builder, name, value)
             for group, items in jobs.items():
                 items = prepare(items)
                 ns[setting][group].append(timed(lambda: [run(item) for item in items]))
+    for name, value in SHIPPED.items():
+        setattr(builder, name, value)
     return ns
 
 
@@ -157,13 +170,15 @@ def report(title: str, jobs: dict[str, list], ns) -> None:
             )
 
 
-def best_threshold(trees: dict[str, list], ns) -> None:
-    """The table size from which NumPy routing costs least in total, by best rounds."""
-    rows = {g: trees[g][0].base.n_rows for g in trees}
-    in_python = {g: min(ns["python"][g]) for g in trees}
-    in_numpy = {g: min(ns["numpy"][g]) for g in trees}
+def best_threshold(rows: dict[str, int], ns) -> None:
+    """The table size from which the NumPy form costs least in total, by best rounds.
+
+    ``rows`` holds each group's table size.
+    """
+    in_python = {g: min(ns["python"][g]) for g in rows}
+    in_numpy = {g: min(ns["numpy"][g]) for g in rows}
     total = {
-        k: sum(in_python[g] if rows[g] < k else in_numpy[g] for g in trees) / 1e9
+        k: sum(in_python[g] if rows[g] < k else in_numpy[g] for g in rows) / 1e9
         for k in sorted(set(rows.values()) | {max(rows.values()) + 1})
     }
     best = min(total, key=total.get)
@@ -183,24 +198,24 @@ def main() -> None:
         parser.error(f"unknown pass in {args.passes!r}")
 
     tables = groups()
+    rows = {g: ts[0].n_rows for g, ts in tables.items()}
     builds = {g: [(t, k) for t in ts for k in TYPES] for g, ts in tables.items()}
     print(
         f"_WIDE_FRONTIER = {builder._WIDE_FRONTIER}, _WIDE_ROUTING = {builder._WIDE_ROUTING}; "
         f"{args.rounds} rounds\n"
     )
     if "build" in passes:
-        ns = time_settings(builds, "_WIDE_FRONTIER", BUILD_SETTINGS,
+        ns = time_settings(builds, BUILD_SETTINGS,
                            lambda job: build_tree(job[0], job[1], MEASURE), args.rounds)
-        builder._WIDE_FRONTIER = BUILD_SETTINGS["shipped"]
         report("build", builds, ns)
+        best_threshold(rows, ns)
         print()
     if "routing" in passes:
         trees = {g: [build_tree(t, k, MEASURE) for t, k in jobs] for g, jobs in builds.items()}
-        ns = time_settings(trees, "_WIDE_ROUTING", ROUTE_SETTINGS, route_and_read,
+        ns = time_settings(trees, ROUTE_SETTINGS, route_and_read,
                            args.rounds, prepare=lambda items: [fresh(t) for t in items])
-        builder._WIDE_ROUTING = ROUTE_SETTINGS["shipped"]
         report("routing and its readers", trees, ns)
-        best_threshold(trees, ns)
+        best_threshold(rows, ns)
 
 
 if __name__ == "__main__":

@@ -23,18 +23,25 @@ counts gathered during query selection, so only nondegenerate subtables
 join the next level.
 
 The build changes form at most once.  Until a level has ``_WIDE_FRONTIER``
-nodes to expand, each node is expanded alone (``_Builder._expand``) in a
-handful of NumPy calls: ``queries.branch_stats`` counts the node's rows with
-one ``bincount`` of their ``DecisionTable.branch_keys`` and hands back plain
+nodes to expand, each node is expanded alone (``_Builder._expand``):
+``queries.branch_stats`` counts the node's branches and hands back plain
 lists, which ``select_query_from_stats`` scans for the query.  The
-children's kind, label and row count are then gathered in lists, each arena
-column is extended once, and the rows of the children still to expand are
-cut from one ``take`` of the node's rows of codes.  A root whose table has
-one decision value is a terminal at once.
+children's kind, label and row count are then gathered in lists and each
+arena column is extended once.  The table-size test of the routing
+(``_in_python``, below) also picks how such a node reads its rows.  Below
+``_WIDE_ROUTING`` rows a node's rows are a sorted Python list, its branches
+are counted from the table's ``branch_keys`` as lists (made once per build)
+into count tuples whose uncertainties the measure reads from its memo, and
+its children's row lists are cut from the rows' code tuples, so a node whose
+count tuples the memo holds makes no NumPy call apart from reading a chosen
+proper hypothesis's codes.  From there up its rows are an int64 array,
+counted with one ``bincount`` of their ``branch_keys``, and the children's
+rows are cut from one ``take`` of the node's rows of codes.  A root whose
+table has one decision value is a terminal at once.
 
 The first level that wide and every level below it, however narrow, are
-batched (``_Builder._expand_level``): a few NumPy passes over all the
-level's nodes.  One ``bincount`` of the rows' branch keys, each offset by
+batched (``_Builder._expand_level``), its row lists first joined into one
+array: a few NumPy passes over all the level's nodes.  One ``bincount`` of the rows' branch keys, each offset by
 its node, gives every node's (branch, decision) counts, the query choice
 reads a padded (node x attribute x value) view of the branch uncertainties,
 and the children are laid out on a (node x answer) grid whose nonzero order
@@ -84,8 +91,8 @@ at a time, from the root down, in a few NumPy passes over all of the
 level's (row, node) occurrences.  Both ways give the same ``Routing`` up to
 the order of its terminal occurrences.
 
-The same table-size test (``DecisionTree._in_python``) picks the form of
-every pass over a tree's routing, not only of the routing itself.  Below
+The same table-size test (``_in_python``) picks the form of every pass
+over a tree's routing, not only of the routing itself.  Below
 ``_WIDE_ROUTING`` rows, ``rules``' per-row optima, ``metrics.validate``'s
 verdict on a clean tree and ``metrics.realizable_count`` loop over the
 arena's ``array`` columns and the routing's ``tolist()`` lists, and make no
@@ -146,12 +153,12 @@ _SERIALIZE_BLOCK = 4096
 
 # Tables of at least this many rows route in NumPy, smaller ones in plain
 # Python (``DecisionTree.route_rows``), and the readers of a tree's routing
-# take the same form (``DecisionTree._in_python``).  Set from the crossover
-# of ``scripts/crossover.py``, which times the routing pass together with
-# ``rules._row_optima`` and ``validate`` over it (t1-t5 trees of random
-# tables of 4-63 rows and of the Boolean suites n=3..6): in three runs the
-# least total fell at 12 rows, 0.1 % or less below 13, as NumPy took 9-15 %
-# less time than plain Python on the 12-row tables.
+# and the narrow nodes of the build take the same form (``_in_python``).
+# Set from the crossover of ``scripts/crossover.py``, which times the routing
+# pass together with ``rules._row_optima`` and ``validate`` over it (t1-t5
+# trees of random tables of 4-63 rows and of the Boolean suites n=3..6): in
+# three runs the least total fell at 12 rows, 0.1 % or less below 13, as
+# NumPy took 9-15 % less time than plain Python on the 12-row tables.
 _WIDE_ROUTING = 12
 
 # The first level with at least this many nodes to expand, and every level
@@ -200,6 +207,15 @@ class Routing(NamedTuple):
     node_rows: np.ndarray
     rows: np.ndarray
     terminals: np.ndarray
+
+
+def _in_python(table: DecisionTable) -> bool:
+    """The one table-size test of the module docstring.
+
+    Fewer than ``_WIDE_ROUTING`` rows, read at call time: the table's narrow
+    nodes are built, and its trees' routing read, in plain Python.
+    """
+    return table.n_rows < _WIDE_ROUTING
 
 
 def _of_kind(kind, which, count, rows, nodes):
@@ -356,12 +372,8 @@ class DecisionTree:
         return range(first, first + 1 + base.total_branches - base.n)
 
     def _in_python(self) -> bool:
-        """Whether the passes over this tree's routing run in plain Python.
-
-        The one table-size test of the module docstring: fewer than
-        ``_WIDE_ROUTING`` base-table rows, read at call time.
-        """
-        return self.base.n_rows < _WIDE_ROUTING
+        """Whether the passes over this tree's routing run in plain Python."""
+        return _in_python(self.base)
 
     def route_rows(self) -> Routing:
         """Route every base-table row along all of its truthful paths.
@@ -595,6 +607,12 @@ class _Builder:
         self.decision_values = table.decision_values.tolist()
         self._layout: _BranchLayout | None = None
         self._row_bits: list[list[int]] | None = None
+        # Set for a small table only, whose narrow nodes hold their rows as
+        # sorted lists: its ``branch_keys`` and decisions as lists and its
+        # rows' code tuples.
+        self._key_rows: list[list[int]] | None = None
+        self._decisions: list[int] = []
+        self._row_codes: list[tuple[int, ...]] = []
 
     def run(self) -> DecisionTree:
         table = self.table
@@ -602,10 +620,15 @@ class _Builder:
             raise NodeBudgetExceeded(self.budget, 0)
         if len(self.decision_values) == 1:  # a degenerate root is the whole tree
             root, level = (TERMINAL, self.decision_values[0]), []
+        elif _in_python(table):
+            root, level = (_PENDING, -1), [(0, list(range(table.n_rows)))]
+            self._key_rows = table.branch_keys.tolist()
+            self._decisions = table.decisions.tolist()
+            self._row_codes = list(table._row_index)  # its keys are in row order
         else:
             root, level = (_PENDING, -1), [(0, np.arange(table.n_rows, dtype=np.int64))]
-            if self.tree_type in (4, 5):  # the root is expanded alone
-                self._row_bits = _row_bitsets(table)
+        if level and self.tree_type in (4, 5):  # the root is expanded alone
+            self._row_bits = _row_bitsets(table)
         self.kind.append(root[0])
         self.label.append(root[1])
         self.first.append(-1)
@@ -617,13 +640,16 @@ class _Builder:
             while 0 < len(level) < _WIDE_FRONTIER:
                 width = len(level)
                 starts.append(len(self.kind))
-                pending: list[tuple[int, np.ndarray]] = []
+                pending: list[tuple[int, np.ndarray | list[int]]] = []
                 for node, node_rows in level:
                     self._expand(node, node_rows, pending)
                 level = pending
             if level:  # this level and every one below it are batched
                 nodes = np.array([node for node, _ in level], dtype=np.int64)
-                rows = np.concatenate([r for _, r in level])
+                if self._key_rows is None:
+                    rows = np.concatenate([r for _, r in level])
+                else:  # every node's row list, converted at once
+                    rows = np.array([i for _, r in level for i in r], dtype=np.int64)
                 seg = np.repeat(np.arange(len(level)), [len(r) for _, r in level])
                 while len(nodes):
                     width = len(nodes)
@@ -644,10 +670,19 @@ class _Builder:
             starts,
         )
 
-    def _expand(self, node: int, rows: np.ndarray, pending: list) -> None:
-        """Expand one node alone; its pending children join ``pending``."""
+    def _expand(self, node: int, rows: np.ndarray | list[int], pending: list) -> None:
+        """Expand one node alone; its pending children join ``pending``.
+
+        ``rows`` are the node's subtable rows, ascending: a list for a small
+        table (``_in_python``), an int64 array otherwise.  The children's
+        rows take the same form, so a list is read in plain Python, without
+        NumPy, at every step: ``branch_stats`` counts its keys, the holds
+        row is looked for in it, and each pending child's rows are the
+        list's rows whose code tuple has the child's value.
+        """
         table = self.table
-        stats = branch_stats(table, rows, self.measure)
+        small = self._key_rows is not None
+        stats = branch_stats(table, rows, self.measure, self._key_rows)
         choice, _ = select_query_from_stats(table, stats, self.tree_type, self._row_bits)
         offsets = self.offsets
 
@@ -678,10 +713,14 @@ class _Builder:
         if type(choice) is not int:
             # The holds child has the base row equal to the hypothesis, if the subtable does.
             row = table._row_index.get(choice, -1)
-            at = rows.searchsorted(row) if row >= 0 else len(rows)
-            held = at < len(rows) and rows[at] == row
+            if small:
+                held = row in rows
+                label.append(self._decisions[row] if held else 0)
+            else:
+                at = rows.searchsorted(row) if row >= 0 else len(rows)
+                held = at < len(rows) and rows[at] == row
+                label.append(int(table.decisions[row]) if held else 0)
             kind.append(TERMINAL)
-            label.append(int(table.decisions[row]) if held else 0)
             nrows.append(1 if held else 0)
         split = []
         n, mx, am = stats.n, stats.mx, stats.am
@@ -700,7 +739,11 @@ class _Builder:
         self.label.extend(label)
         self.first.extend([-1] * n_children)
         self.nrows.extend(nrows)
-        if split:
+        if small:
+            row_codes = self._row_codes
+            for at, i, code in split:
+                pending.append((start + at, [r for r in rows if row_codes[r][i] == code]))
+        elif split:
             codes = table.codes.take(rows, axis=0)
             for at, i, code in split:
                 pending.append((start + at, rows[codes[:, i] == code]))

@@ -40,6 +40,7 @@ words, 64 rows to a word, for every node of a wide level at once
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import indexOf
 from typing import Union
 
 import numpy as np
@@ -179,26 +180,37 @@ class BranchStats:
 
 
 def branch_stats(
-    table: DecisionTable, rows: np.ndarray, measure: UncertaintyMeasure
+    table: DecisionTable,
+    rows: np.ndarray | list[int],
+    measure: UncertaintyMeasure,
+    key_rows: list[list[int]] | None = None,
 ) -> BranchStats:
     """Statistics of every branch of the subtable ``rows`` of ``table``.
 
-    One ``bincount`` of the rows' ``branch_keys`` gives the (branch,
-    decision) count matrix; the measure runs once on it, and the counts,
-    their largest and its first position are read from one list of it.
+    Given an array of rows, one ``bincount`` of their ``branch_keys`` gives
+    the (branch, decision) count matrix; the measure runs once on it, and
+    the counts, their largest and its first position are read from one list
+    of it.  Given a list of rows and ``key_rows``, the table's
+    ``branch_keys`` as lists, the rows' keys are counted into one flat list
+    in plain Python, which is cut into one count tuple per branch; the
+    measure reads those from its memo.  Both give the same statistics.
     """
     d = max(table.n_decision_values, 1)
-    cont = np.bincount(
-        table.branch_keys.take(rows, axis=0).ravel(), minlength=table.total_branches * d
-    ).reshape(-1, d)
-    counts = cont.tolist()
+    if key_rows is None:
+        cont = np.bincount(
+            table.branch_keys.take(rows, axis=0).ravel(), minlength=table.total_branches * d
+        ).reshape(-1, d)
+        counts = cont.tolist()
+        u = measure.of_count_matrix(cont).tolist()
+    else:
+        cells = [0] * (table.total_branches * d)
+        for r in rows:
+            for key in key_rows[r]:
+                cells[key] += 1
+        counts = list(zip(*[cells[j::d] for j in range(d)]))
+        u = measure.of_count_matrix(counts)
     mx = list(map(max, counts))
-    return BranchStats(
-        measure.of_count_matrix(cont).tolist(),
-        list(map(sum, counts)),
-        mx,
-        list(map(list.index, counts, mx)),
-    )
+    return BranchStats(u, list(map(sum, counts)), mx, list(map(indexOf, counts, mx)))
 
 
 def _summarize(table: DecisionTable, stats: BranchStats) -> tuple[list, ...]:
@@ -213,8 +225,10 @@ def _summarize(table: DecisionTable, stats: BranchStats) -> tuple[list, ...]:
     u = stats.u
     nvec = stats.n
     max1, max2, best_pos, seen, pinned = [], [], [], [], []
-    offsets = table.offsets.tolist()
-    for a, b in zip(offsets, offsets[1:]):
+    b = 0
+    for values in table.value_sets:  # branches ``a`` to ``b`` are one attribute's
+        a = b
+        b += len(values)
         best = second = -1.0
         top = 0
         nonempty = 0

@@ -6,6 +6,14 @@ pure functions of the decision counts, so every one also accepts a matrix of
 count rows and evaluates all rows in one vectorized pass; the tree builder
 leans on that form heavily.
 
+A node of a small table expanded alone hands its count rows over as a list
+of tuples instead, and each measure answers those from a memo of its own,
+``{count tuple: value}``.  Only the measure's row function fills the memo,
+one call on the rows it lacks, so a value read from it is the double the
+matrix form gives for that row.  The builder passes only subtables of fewer
+than ``builder._WIDE_ROUTING`` rows this way, which keeps the memo small:
+every count tuple it holds sums to fewer rows than that.
+
 Misclassification and pair counts (``me``, ``r``) are integer-valued and,
 inside float64, exact for any table below 2^26 rows, so comparing their
 raw doubles is an exact integer comparison.
@@ -77,10 +85,17 @@ def _r_rows(counts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UncertaintyMeasure:
-    """A named measure with scalar and vectorized evaluation forms."""
+    """A named measure with scalar and vectorized evaluation forms.
+
+    ``_memo`` caches the values of count tuples given to ``of_count_matrix``
+    as a list; it takes no part in equality, hashing or the repr.
+    """
 
     name: str
     _rows_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    _memo: dict[tuple[int, ...], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def evaluate(self, sub: SubtableRef) -> float:
         return self.of_counts(sub.decision_counts())
@@ -93,9 +108,23 @@ class UncertaintyMeasure:
             return 0.0
         return float(self._rows_fn(arr)[0])
 
-    def of_count_matrix(self, counts: np.ndarray) -> np.ndarray:
-        """Evaluate one value per row of a (branches x decisions) count matrix."""
-        return self._rows_fn(counts)
+    def of_count_matrix(self, counts: np.ndarray | list) -> np.ndarray | list:
+        """Evaluate one value per row of a (branches x decisions) count matrix.
+
+        An array gives an array.  A list of count tuples, all of one width,
+        gives a list of floats read from the memo; the tuples it lacks are
+        evaluated first, in one call of the row function, and kept.
+        """
+        if type(counts) is not list:
+            return self._rows_fn(counts)
+        memo = self._memo
+        try:
+            return list(map(memo.__getitem__, counts))
+        except KeyError:
+            missing = list(dict.fromkeys([row for row in counts if row not in memo]))
+            values = self._rows_fn(np.array(missing, dtype=np.int64)).tolist()
+            memo.update(zip(missing, values))
+            return list(map(memo.__getitem__, counts))
 
 
 MEASURES: dict[str, UncertaintyMeasure] = {

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from hypotree import (
+    MEASURES,
     AttributeQuery,
+    BoolSuiteSpec,
     ConstraintError,
     DecisionTable,
     HypothesisQuery,
@@ -18,6 +20,7 @@ from hypotree import (
     build_tree,
     get_measure,
     select_query,
+    table_of,
 )
 import hypotree.builder as builder
 from hypotree.builder import TERMINAL, WORKING_ATTR, WORKING_HYP
@@ -392,6 +395,84 @@ class TestExpansionPaths:
         assert got.serialize() == ref.serialize()
         assert got._hyp_codes == ref._hyp_codes
         assert np.array_equal(got.path_row_counts, ref.path_row_counts)
+
+
+IN_NUMPY, IN_PYTHON = 0, 1 << 62  # values of ``_WIDE_ROUTING``
+
+
+@functools.cache
+def narrow_tables():
+    """Seeded random tables of 1-11 rows, then small ones whose levels turn batched."""
+    rng = random.Random(2323)
+    tables = []
+    for n_rows in range(1, 12):
+        for _ in range(4):
+            n_attrs = rng.randint(1, 4)
+            grid = list(itertools.product(*[range(rng.randint(2, 3)) for _ in range(n_attrs)]))
+            rows = rng.sample(grid, min(n_rows, len(grid)))
+            decisions = [rng.randint(0, rng.randint(1, 3)) for _ in rows]
+            names = tuple(f"f{i + 1}" for i in range(n_attrs))
+            tables.append(DecisionTable(names, np.array(rows), np.array(decisions)))
+    grid = list(itertools.product(range(3), repeat=5))
+    for _ in range(6):  # hypothesis levels of 8 nodes and more
+        rows = rng.sample(grid, 11)
+        decisions = [rng.randint(0, 2) for _ in rows]
+        tables.append(DecisionTable(("f1", "f2", "f3", "f4", "f5"), np.array(rows),
+                                    np.array(decisions)))
+    return tuple(tables)
+
+
+class TestNarrowForms:
+    """A small table's narrow nodes in plain Python against the NumPy form."""
+
+    @staticmethod
+    def build(table, tree_type, measure, wide_from, monkeypatch, budget=None):
+        """The tree, or the budget error's figures, and the traced row counts."""
+        monkeypatch.setattr(builder, "_WIDE_ROUTING", wide_from)
+        counted = {"branch_stats": 0, "of_count_matrix": 0}
+        for owner, name in ((builder, "branch_stats"), (UncertaintyMeasure, "of_count_matrix")):
+            def traced(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                counted[_name] += len(args[1])
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, traced)
+        try:
+            if budget is None:
+                return build_tree(table, tree_type, measure), counted
+            with pytest.raises(NodeBudgetExceeded) as info:
+                build_tree(table, tree_type, measure, node_budget=budget)
+            return (info.value.nodes, info.value.level, info.value.frontier), counted
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("measure", ["me", "rme", "ent", "gini", "r"])
+    @pytest.mark.parametrize("tree_type", [1, 2, 3, 4, 5])
+    def test_same_trees_counts_and_budget_aborts(self, tree_type, measure, monkeypatch):
+        turned = 0
+        for table in narrow_tables():
+            ref, ref_counts = self.build(table, tree_type, measure, IN_NUMPY, monkeypatch)
+            got, counts = self.build(table, tree_type, measure, IN_PYTHON, monkeypatch)
+            assert got.serialize() == ref.serialize()
+            assert np.array_equal(got.path_row_counts, ref.path_row_counts)
+            assert got._hyp_codes == ref._hyp_codes
+            assert counts == ref_counts
+            starts = got.level_starts.tolist()
+            widest = max(np.count_nonzero(got.kinds[lo:hi]) for lo, hi in zip(starts, starts[1:]))
+            turned += widest >= builder._WIDE_FRONTIER
+            for budget in range(1, ref.node_count, max(1, ref.node_count // 7)):
+                assert self.build(table, tree_type, measure, IN_PYTHON, monkeypatch, budget) \
+                    == self.build(table, tree_type, measure, IN_NUMPY, monkeypatch, budget)
+        if tree_type in (2, 4):
+            assert turned  # some builds turned batched from a level of lists
+
+    def test_wide_tables_never_touch_the_memo(self):
+        for name in ("me", "ent"):  # the two measures built with hold some values
+            get_measure(name).of_count_matrix([(1, 2), (0, 3)])
+        before = {name: dict(m._memo) for name, m in MEASURES.items()}
+        assert ttt_centre(1).n_rows >= builder._WIDE_ROUTING
+        build_tree(ttt_centre(1), 3, "ent")
+        build_tree(table_of(BoolSuiteSpec(8).functions[0]), 5, "me")
+        assert {name: m._memo for name, m in MEASURES.items()} == before
 
 
 class TestProperHypotheses:

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
 
-from hypotree import DecisionTable, EquationSystem, MEASURES, get_measure
+from hypotree import DecisionTable, EquationSystem, MEASURES, UncertaintyMeasure, get_measure
 
 from oracles import measure_value
 
@@ -124,3 +125,59 @@ class TestCountInterfaces:
     def test_unknown_measure_rejected(self):
         with pytest.raises((KeyError, ValueError)):
             get_measure("nope")
+
+
+def cold(name):
+    """A measure equal to ``name``'s with an empty memo of its own."""
+    return UncertaintyMeasure(name, get_measure(name)._rows_fn)
+
+
+def count_rows(rng, width):
+    """Seeded distinct count rows of one width: all-zero, single-class and mixed ones."""
+    rows = {(0,) * width}
+    for at in range(width):
+        rows.add(tuple(3 if i == at else 0 for i in range(width)))
+    for _ in range(40):
+        rows.add(tuple(rng.choice((0, 0, 1, 2, 3, 5, 11)) for _ in range(width)))
+    return sorted(rows)
+
+
+class TestMemo:
+    """``of_count_matrix`` on a list of count tuples, read from the memo."""
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_same_doubles_as_the_array_form(self, name):
+        rng = random.Random(2303)
+        warm = cold(name)  # filled by every width and batch size before it
+        for width in range(1, 12):
+            rows = count_rows(rng, width)
+            want = dict(zip(rows, map(float.hex, warm.of_count_matrix(np.array(rows)))))
+            for size in (1, 3, 7, len(rows)):
+                fresh = cold(name)
+                for measure in (fresh, warm, fresh):  # cold, warm, then warm again
+                    rng.shuffle(rows)
+                    for at in range(0, len(rows), size):
+                        batch = rows[at : at + size]
+                        got = measure.of_count_matrix(batch)
+                        assert type(got) is list and all(type(v) is float for v in got)
+                        assert list(map(float.hex, got)) == [want[row] for row in batch]
+                assert fresh._memo.keys() == set(rows)
+
+    def test_permuted_rows_tie_exactly_under_ent(self):
+        rows = list(itertools.permutations([2, 4, 3, 0, 7]))
+        one_call = cold("ent").of_count_matrix(rows)
+        measure = cold("ent")
+        one_by_one = [v for row in rows for v in measure.of_count_matrix([row])]
+        assert len(set(one_call + one_by_one)) == 1
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_the_memo_is_not_part_of_the_measure(self, name):
+        filled = cold(name)
+        filled.of_count_matrix([(1, 2), (0, 3), (4, 4)])
+        assert len(filled._memo) == 3
+        clone = pickle.loads(pickle.dumps(filled))
+        for measure in (filled, clone, cold(name)):
+            assert measure == get_measure(name)
+            assert hash(measure) == hash(get_measure(name))
+            assert repr(measure) == repr(get_measure(name)) == f"UncertaintyMeasure(name={name!r})"
+        assert clone.of_count_matrix([(1, 2)]) == filled.of_count_matrix([(1, 2)])
