@@ -23,6 +23,12 @@ calls reports null, which counts as reported); a run that lacks one, or
 prints no result at all, makes the script name the metrics, keep what it
 measured and exit 1 before any pair runs.
 
+Once every pair has run, the script names each run the benchmark refuses,
+by workload, pair and side: a run that is not ``correct``, and a change run
+that failed more operations than the parent run of its pair.  It adds a line
+about them to ``notes``, rewrites the file and exits 1.  Such runs still
+enter ``summary``.
+
 The output has ``what``, ``command``, ``sides``, ``host``, ``order``,
 ``notes`` and, per workload under ``end_to_end``, ``pairs``, ``seeds``,
 ``seconds``, ``summary`` and the raw ``runs``.  With ``--traced``, ``traced``
@@ -117,6 +123,25 @@ def summarize_traced(runs: list[dict], per_layer: list[dict]) -> dict[str, dict]
         if len(medians) == 2:
             summary[name] = medians
     return summary
+
+
+def refused_runs(workload: str, runs: list[dict], seeds: list[int]) -> list[str]:
+    """Each run of ``workload`` the benchmark refuses, as ``"W pair P SIDE: why"``.
+
+    A run is refused when it is not ``correct``, and a change run when it
+    failed more operations than the parent run of its pair.
+    """
+    parents = {run["seed"]: run for run in runs if run["side"] == "parent"}
+    refused = []
+    for run in runs:
+        where = f"{workload} pair {seeds.index(run['seed']) + 1} {run['side']}"
+        if not run["correct"]:
+            refused.append(f"{where}: not correct")
+        elif run["side"] == "change" and run["seed"] in parents:
+            failed, before = run["failed"] or 0, parents[run["seed"]]["failed"] or 0
+            if failed > before:
+                refused.append(f"{where}: {failed} failed operations, the parent {before}")
+    return refused
 
 
 def git(*args: str) -> str:
@@ -274,8 +299,17 @@ def main(argv: list[str] | None = None) -> int:
                 entry["seeds"].append(seed)
                 entry["summary"] = summarize(runs, bench["end_to_end"])
                 write(out, report)
+    refused = [line for workload, entry in report["end_to_end"].items()
+               for line in refused_runs(workload, entry["runs"], entry["seeds"])]
+    if refused:
+        report["notes"].append("Runs the benchmark refuses (not correct, or a change run "
+                               "failing more operations than its parent): "
+                               + "; ".join(refused) + ".")
+        write(out, report)
     print(out)
-    return 0
+    for line in refused:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if refused else 0
 
 
 if __name__ == "__main__":

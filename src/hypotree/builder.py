@@ -22,22 +22,33 @@ labeled 0.  Degenerate children are labeled immediately from the branch
 counts gathered during query selection, so only nondegenerate subtables
 join the next level.
 
+One table-size test, ``_in_python``, picks the form of every pass over a
+table and its trees.  A table is small when it has fewer than
+``_WIDE_ROUTING`` rows, read at call time, and large otherwise.  On a small
+table the build's narrow nodes, the routing pass and the readers of its
+result (``rules``' per-row optima, ``metrics.validate`` and
+``metrics.realizable_count``) run in plain Python over ``array`` columns
+and lists, and make no NumPy view of the arena; on a large one they run in
+NumPy passes.  ``metrics.validate`` words violations in plain Python for
+every size: on a large table only a tree its NumPy check finds faulty is
+worded.  The build's batched levels run in NumPy and the depth is read off
+the ``array`` of level starts, whatever the size.
+
 The build changes form at most once.  Until a level has ``_WIDE_FRONTIER``
 nodes to expand, each node is expanded alone (``_Builder._expand``):
 ``queries.branch_stats`` counts the node's branches and hands back plain
 lists, which ``select_query_from_stats`` scans for the query.  The
 children's kind, label and row count are then gathered in lists and each
-arena column is extended once.  The table-size test of the routing
-(``_in_python``, below) also picks how such a node reads its rows.  Below
-``_WIDE_ROUTING`` rows a node's rows are a sorted Python list, its branches
-are counted from the table's ``branch_keys`` as lists (made once per build)
-into count tuples whose uncertainties the measure reads from its memo, and
-its children's row lists are cut from the rows' code tuples, so a node whose
-count tuples the memo holds makes no NumPy call apart from reading a chosen
-proper hypothesis's codes.  From there up its rows are an int64 array,
-counted with one ``bincount`` of their ``branch_keys``, and the children's
-rows are cut from one ``take`` of the node's rows of codes.  A root whose
-table has one decision value is a terminal at once.
+arena column is extended once.  On a small table such a node's rows are a
+sorted Python list, its branches are counted from the table's
+``branch_keys`` as lists (made once per build) into count tuples whose
+uncertainties the measure reads from its memo, and its children's row lists
+are cut from the rows' code tuples, so a node whose count tuples the memo
+holds makes no NumPy call apart from reading a chosen proper hypothesis's
+codes.  On a large table its rows are an int64 array, counted with one
+``bincount`` of their ``branch_keys``, and the children's rows are cut from
+one ``take`` of the node's rows of codes.  A root whose table has one
+decision value is a terminal at once.
 
 The first level that wide and every level below it, however narrow, are
 batched (``_Builder._expand_level``), its row lists first joined into one
@@ -81,23 +92,14 @@ truthful paths.  A tree does not change after the build, so the pass runs
 once per tree: its ``Routing`` is kept on the tree, read-only, and serves
 ``validate``, ``rule_stats`` and ``derive_rules`` alike.  It depends only on
 the kinds, first children, working nodes' labels, hypothesis codes and level
-starts of the tree and on the base table's codes.  The table's size picks
-one form for the whole pass.  A table of fewer than ``_WIDE_ROUTING`` rows
-is routed in plain Python, one row at a time: a stack walk over the arena's
+starts of the tree and on the base table's codes.  A small table is routed
+in plain Python, one row at a time: a stack walk over the arena's
 ``array`` columns and the row's code tuple, which touches NumPy only to
 return its arrays, since on so few rows the NumPy passes' fixed cost of
-about ten calls a level would dominate.  A larger table is routed one level
+about ten calls a level would dominate.  A large table is routed one level
 at a time, from the root down, in a few NumPy passes over all of the
 level's (row, node) occurrences.  Both ways give the same ``Routing`` up to
 the order of its terminal occurrences.
-
-The same table-size test (``_in_python``) picks the form of every pass
-over a tree's routing, not only of the routing itself.  Below
-``_WIDE_ROUTING`` rows, ``rules``' per-row optima, ``metrics.validate``'s
-verdict on a clean tree and ``metrics.realizable_count`` loop over the
-arena's ``array`` columns and the routing's ``tolist()`` lists, and make no
-NumPy view of the arena; from there up they reduce NumPy arrays.  The depth
-is read off the ``array`` of level starts for every size.
 """
 
 from __future__ import annotations
@@ -151,9 +153,8 @@ _ROUTE_CHUNK_CELLS = 1 << 18
 # text is never held as one string per line.
 _SERIALIZE_BLOCK = 4096
 
-# Tables of at least this many rows route in NumPy, smaller ones in plain
-# Python (``DecisionTree.route_rows``), and the readers of a tree's routing
-# and the narrow nodes of the build take the same form (``_in_python``).
+# Tables of at least this many rows are large: their passes run in NumPy,
+# smaller tables' in plain Python (``_in_python``, see the module docstring).
 # Set from the crossover of ``scripts/crossover.py``, which times the routing
 # pass together with ``rules._row_optima`` and ``validate`` over it (t1-t5
 # trees of random tables of 4-63 rows and of the Boolean suites n=3..6): in
@@ -371,10 +372,6 @@ class DecisionTree:
             return range(first, first + len(base.value_sets[self._label[node]]))
         return range(first, first + 1 + base.total_branches - base.n)
 
-    def _in_python(self) -> bool:
-        """Whether the passes over this tree's routing run in plain Python."""
-        return _in_python(self.base)
-
     def route_rows(self) -> Routing:
         """Route every base-table row along all of its truthful paths.
 
@@ -398,11 +395,9 @@ class DecisionTree:
         ``first + 1 + offsets[i] - i + c - (c > hypothesis code)``.
 
         One form serves the whole tree, picked by the table's size
-        (``_in_python``; ``_WIDE_ROUTING`` records the measured crossover),
-        and the readers of the routing take the same form.  A table of
-        fewer than ``_WIDE_ROUTING`` rows is routed in plain Python, one row
+        (``_in_python``).  A small table is routed in plain Python, one row
         at a time, by a stack walk of (node, level) pairs over the row's
-        codes.  A larger table is routed by ``_route_wide``, one level at a
+        codes.  A large table is routed by ``_route_wide``, one level at a
         time in a few NumPy passes.
         """
         if self._routing is None:
@@ -414,7 +409,7 @@ class DecisionTree:
 
     def _route(self) -> Routing:
         """The routing pass itself, as ``route_rows`` describes it."""
-        if not self._in_python():
+        if not _in_python(self.base):
             return self._route_wide()
         base = self.base
         kind, label, first, hyp_codes = self._kind, self._label, self._first, self._hyp_codes

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .table import DecisionTable, _is_integer
+from .table import ConstraintError, DecisionTable, _is_integer
 from .uncertainty import MEASURES
 from .queries import TREE_TYPES, _check_tree_type
 from .builder import DEFAULT_NODE_BUDGET, DecisionTree, NodeBudgetExceeded, build_tree
@@ -162,7 +162,7 @@ def load_table(path: str | Path, decision_column: str | int | None = None) -> De
     decisions = [record[at] for record in data]
     try:
         return table_from_records(names, records, decisions)
-    except DataError as exc:
+    except (DataError, ConstraintError) as exc:
         raise DataError(f"{path}: {exc}")
 
 
@@ -172,8 +172,8 @@ def expand_sources(tokens: Sequence[str]) -> list[tuple[str, str, int]]:
     ``gen:NAME`` yields one built-in table; ``bool:n=...`` yields one entry
     per function in the suite, named ``<suite>#<index>``; a directory yields
     its CSV files in sorted order; anything else is a CSV path named by its
-    file stem.  A malformed ``bool:`` token fails here (its size is unknown);
-    all other load problems surface later, when the table is read.
+    file stem.  A malformed ``bool:`` token and a directory with no CSV file
+    fail here; all other load problems surface later, when the table is read.
     """
     out: list[tuple[str, str, int]] = []
     for token in tokens:
@@ -189,10 +189,10 @@ def expand_sources(tokens: Sequence[str]) -> list[tuple[str, str, int]]:
                 for index in range(spec.count)
             )
         elif Path(token).is_dir():
-            out.extend(
-                (path.stem, str(path), 0)
-                for path in sorted(Path(token).glob("*.csv"))
-            )
+            paths = sorted(Path(token).glob("*.csv"))
+            if not paths:
+                raise DataError(f"no CSV file in directory {token}")
+            out.extend((path.stem, str(path), 0) for path in paths)
         else:
             out.append((Path(token).stem, token, 0))
     return out

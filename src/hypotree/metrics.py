@@ -19,14 +19,15 @@ computed once per tree and kept, read-only, so ``validate`` after
 shape, its queries and the base table's codes; the terminal labels and
 recorded subtable sizes it is checked against are read afresh on each call.
 
-One table-size test picks the form of every pass over a tree's routing
-(``DecisionTree._in_python``, see the ``builder`` module docstring).  On a
-table of fewer than ``builder._WIDE_ROUTING`` rows, ``realizable_count``
-counts the ``array`` of recorded sizes and ``validate`` first checks the
-tree in plain Python, returning at once when it finds nothing; only a tree
-with some violation goes on to the NumPy code that words the violations,
-so both forms list them alike.  ``depth`` reads the ``array`` of level
-starts for every table size.
+``builder._in_python`` picks the form of each pass here.  ``validate``
+words violations in one plain-Python pass (``_violations``), which builds
+nothing while the tree passes its three checks.  A small table's tree goes
+through that pass alone.  A large table's tree is first checked by a few
+NumPy passes that word nothing (``_clean_in_numpy``), and only a tree they
+find faulty goes on to the plain-Python pass, so both forms list violations
+alike.  ``realizable_count`` counts the ``array`` of recorded sizes on a
+small table and a NumPy view of them on a large one.  ``depth`` reads the
+``array`` of level starts for every table size.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .table import ConstraintError, DecisionTable, EquationSystem, _as_int
-from .builder import TERMINAL, DecisionTree, Routing
+from .builder import TERMINAL, DecisionTree, Routing, _in_python
 from .queries import AttributeQuery, Hypothesis
 
 __all__ = [
@@ -90,7 +91,7 @@ def depth(tree: DecisionTree) -> int:
 def realizable_count(table: DecisionTable, tree: DecisionTree) -> int:
     """Number of nodes whose path subtable is nonempty."""
     _check_pair(table, tree)
-    if tree._in_python():  # ``array.count`` is far slower than NumPy on large trees
+    if _in_python(tree.base):  # ``array.count`` is far slower than NumPy on large trees
         return tree.node_count - tree._nrows.count(0)
     return int(np.count_nonzero(tree.path_row_counts > 0))
 
@@ -197,81 +198,72 @@ def validate(table: DecisionTable, tree: DecisionTree) -> ValidationReport:
     first, by node; simulation violations follow, by row and then terminal.
     """
     _check_pair(table, tree)
-    report = ValidationReport(rows_simulated=table.n_rows)
     routing = tree.route_rows()
-    if tree._in_python() and _passes_in_python(table, tree, routing):
-        return report
+    clean = not _in_python(tree.base) and _clean_in_numpy(table, tree, routing)
+    return ValidationReport([] if clean else _violations(table, tree, routing), table.n_rows)
+
+
+def _clean_in_numpy(table: DecisionTable, tree: DecisionTree, routing: Routing) -> bool:
+    """Whether ``validate`` finds no violation, read in NumPy passes without wording any."""
     reached = routing.node_rows
-    recorded = tree.path_row_counts
+    if np.count_nonzero(reached != tree.path_row_counts):
+        return False
     labels = tree.labels
-    decisions = table.decisions
-    wrong = labels.take(routing.terminals) != decisions.take(routing.rows)
-    any_wrong = bool(np.count_nonzero(wrong))
-
-    structural: dict[int, list[str]] = {}
-    for node in (reached != recorded).nonzero()[0].tolist():
-        structural.setdefault(node, []).append(
-            f"node {node}: recorded subtable size {recorded[node]} "
-            f"differs from recomputed {reached[node]}"
-        )
-    empty = (tree.kinds == TERMINAL) & (reached == 0) & (labels != 0)
-    for node in empty.nonzero()[0].tolist():
-        structural.setdefault(node, []).append(
-            f"node {node}: empty-subtable terminal labeled {labels[node]}, expected 0"
-        )
-    if any_wrong:
-        # A reached terminal some row disagrees with is either mislabeled or
-        # not degenerate; the least and greatest decision of its rows tell.
-        bad = np.zeros(tree.node_count, dtype=bool)
-        bad[routing.terminals[wrong]] = True
-        at = bad.take(routing.terminals)
-        terminals = routing.terminals[at]
-        decided = decisions.take(routing.rows[at])
-        least = np.full(tree.node_count, decided.max())
-        greatest = np.full(tree.node_count, decided.min())
-        np.minimum.at(least, terminals, decided)
-        np.maximum.at(greatest, terminals, decided)
-        for node in bad.nonzero()[0].tolist():
-            if least[node] != greatest[node]:
-                line = f"node {node}: terminal subtable is not degenerate"
-            else:
-                line = (
-                    f"node {node}: terminal labeled {labels[node]}, "
-                    f"but its subtable decides {least[node]}"
-                )
-            structural.setdefault(node, []).append(line)
-    for node in sorted(structural):
-        report.violations.extend(structural[node])
-
-    if any_wrong:
-        rows = routing.rows[wrong]
-        terminals = routing.terminals[wrong]
-        for at in np.lexsort((terminals, rows)).tolist():
-            row, terminal = rows[at], terminals[at]
-            report.violations.append(
-                f"row {row}: a computation reaches terminal {terminal} "
-                f"deciding {labels[terminal]}, expected {decisions[row]}"
-            )
-    return report
+    if np.count_nonzero(labels.take(routing.terminals) != table.decisions.take(routing.rows)):
+        return False
+    return not np.count_nonzero((tree.kinds == TERMINAL) & (reached == 0) & (labels != 0))
 
 
-def _passes_in_python(table: DecisionTable, tree: DecisionTree, routing: Routing) -> bool:
-    """Whether ``validate`` finds no violation, read in plain Python.
+def _violations(table: DecisionTable, tree: DecisionTree, routing: Routing) -> list[str]:
+    """``validate``'s violation lines, read in plain Python; none on a clean tree.
 
-    The same three checks as its NumPy form, without their diagnostics:
-    every recorded subtable size equals the routed one, every terminal
+    The three checks run first and build nothing while they pass: every
+    recorded subtable size equals the routed one, every terminal
     occurrence's label is its row's decision, and every terminal no row
-    reaches carries 0.
+    reaches carries 0.  Only a tree some check fails is then worded.
     """
     reached = routing.node_rows.tolist()
-    if reached != tree._nrows.tolist():
-        return False
-    labels = tree._label
+    recorded = tree._nrows.tolist()
+    kinds, labels = tree._kind, tree._label
     decisions = table.decisions.tolist()
-    for r, v in zip(routing.rows.tolist(), routing.terminals.tolist()):
-        if labels[v] != decisions[r]:
-            return False
-    for kind, label, count in zip(tree._kind, labels, reached):
-        if label and not count and kind == TERMINAL:
-            return False
-    return True
+    rows, terminals = routing.rows.tolist(), routing.terminals.tolist()
+    if reached == recorded:
+        for r, v in zip(rows, terminals):
+            if labels[v] != decisions[r]:
+                break
+        else:
+            for kind, label, count in zip(kinds, labels, reached):
+                if label and not count and kind == TERMINAL:
+                    break
+            else:
+                return []
+
+    wrong = sorted((r, v) for r, v in zip(rows, terminals) if labels[v] != decisions[r])
+    # A reached terminal some row disagrees with is either mislabeled or not
+    # degenerate; the decisions of all the rows reaching it tell.
+    decided: dict[int, set[int]] = {v: set() for _, v in wrong}
+    for r, v in zip(rows, terminals):
+        if v in decided:
+            decided[v].add(decisions[r])
+    lines = []
+    for node, (count, size, kind, label) in enumerate(zip(reached, recorded, kinds, labels)):
+        if count != size:
+            lines.append(
+                f"node {node}: recorded subtable size {size} differs from recomputed {count}"
+            )
+        if kind == TERMINAL and label and not count:
+            lines.append(f"node {node}: empty-subtable terminal labeled {label}, expected 0")
+        elif node in decided:
+            if len(decided[node]) > 1:
+                lines.append(f"node {node}: terminal subtable is not degenerate")
+            else:
+                (decides,) = decided[node]
+                lines.append(
+                    f"node {node}: terminal labeled {label}, but its subtable decides {decides}"
+                )
+    lines.extend(
+        f"row {r}: a computation reaches terminal {v} deciding {labels[v]}, "
+        f"expected {decisions[r]}"
+        for r, v in wrong
+    )
+    return lines

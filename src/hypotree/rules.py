@@ -9,14 +9,13 @@ Per-row quality takes the best over all paths accepting the row: minimum
 premise length and maximum coverage.  Table-level figures average those
 per-row optima over all rows.  Both functions read them off the tree's
 routing pass (``DecisionTree.route_rows``) and a path's edge count off
-the tree's level starts.  The table-size test that picks the form of the
-routing pass (``DecisionTree._in_python``) picks the form of this reading
-too: below ``builder._WIDE_ROUTING`` rows one plain-Python loop over the
-terminal occurrences, from there up a few array reductions over them,
-with the same arrays either way.  That pass runs once per tree and its
-read-only result is kept, so ``rule_stats``, ``derive_rules`` and
-``validate`` on one tree share it; it depends only on the tree's shape, its
-queries and the base table's codes.  ``rule_stats`` stops there, which is
+the tree's level starts.  ``builder._in_python`` picks the form of this
+reading, as of the routing pass: on a small table one plain-Python loop
+over the terminal occurrences, on a large one a few array reductions over
+them, with the same arrays either way.  The routing pass runs once per
+tree and its read-only result is kept, so ``rule_stats``, ``derive_rules``
+and ``validate`` on one tree share it; it depends only on the tree's shape,
+its queries and the base table's codes.  ``rule_stats`` stops there, which is
 what the experiment harness uses on hypothesis-type trees whose path counts
 run into the millions; ``derive_rules`` also materializes every rule,
 walking only the nodes some row reaches with the attributes on each path
@@ -34,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .table import ConstraintError, DecisionTable, EquationSystem
-from .builder import TERMINAL, WORKING_ATTR, WORKING_HYP, DecisionTree, Routing
+from .builder import TERMINAL, WORKING_ATTR, WORKING_HYP, DecisionTree, Routing, _in_python
 from .metrics import _check_pair
 
 __all__ = [
@@ -96,11 +95,10 @@ def _row_optima(
     system mentions every attribute.  A terminal's coverage is the number of
     rows reaching it.
 
-    For a tree whose routing passes run in plain Python
-    (``DecisionTree._in_python``) this is one loop over the terminal
-    occurrences, with the same result and the same error.
+    On a small table (``builder._in_python``) this is one loop over the
+    terminal occurrences, with the same result and the same error.
     """
-    if tree._in_python():
+    if _in_python(tree.base):
         return _row_optima_in_python(table, tree, routing)
     # A path's edge count is its terminal's level: how many levels below the
     # root start at or before it.

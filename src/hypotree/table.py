@@ -173,6 +173,9 @@ class DecisionTable:
             raise ConstraintError("a decision table needs at least one attribute")
         if len(set(names)) != len(names):
             raise ConstraintError("attribute names must be unique")
+        for name in names:
+            if "\n" in name or "\r" in name:  # ``serialize`` writes one node per line
+                raise ConstraintError(f"attribute name {name!r} holds a line break")
         vals = _integral(values, "attribute values")
         if vals.size == 0:
             vals = vals.reshape(0, len(names))

@@ -10,9 +10,9 @@ A node of a small table expanded alone hands its count rows over as a list
 of tuples instead, and each measure answers those from a memo of its own,
 ``{count tuple: value}``.  Only the measure's row function fills the memo,
 one call on the rows it lacks, so a value read from it is the double the
-matrix form gives for that row.  The builder passes only subtables of fewer
-than ``builder._WIDE_ROUTING`` rows this way, which keeps the memo small:
-every count tuple it holds sums to fewer rows than that.
+matrix form gives for that row.  The builder passes only nodes of small
+tables this way (``builder._in_python``), which keeps the memo small: every
+count tuple it holds sums to fewer than ``builder._WIDE_ROUTING`` rows.
 
 Misclassification and pair counts (``me``, ``r``) are integer-valued and,
 inside float64, exact for any table below 2^26 rows, so comparing their

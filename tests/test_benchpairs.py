@@ -156,3 +156,32 @@ def test_a_traced_run_lacking_a_declared_metric_stops_the_runner(tmp_path, monke
     report = json.loads(out.read_text())
     assert set(report["traced"]) == {w["name"] for w in BENCH["workloads"]}
     assert report["end_to_end"] == {}
+
+
+def test_incorrect_runs_and_rising_failures_are_named_and_fail_the_runner(
+        tmp_path, monkeypatch, capsys):
+    fake_runs(monkeypatch)
+
+    def run_side(checkout, workload, seed, seconds, trace=0):
+        side = checkout.name
+        record = {"correct": True, "attempted": 10, "failed": 1,
+                  "metrics": {name: 1.0 for name in END_TO_END}}
+        if (workload, seed, side) == ("ttt-hyp", 9902, "parent"):
+            record["correct"] = False
+        if (workload, seed, side) == ("tiny-corpus", 9901, "change"):
+            record["failed"] = 2
+        if (workload, side) == ("bool-proper", "parent"):
+            record["failed"] = 3  # fewer failures on the change side are no fault
+        return record
+
+    monkeypatch.setattr(benchpairs, "run_side", run_side)
+    out = tmp_path / "BENCH_99.json"
+    assert benchpairs.main(["HEAD", "--pairs", "2", "--out", str(out)]) == 1
+    refused = ["ttt-hyp pair 2 parent: not correct",
+               "tiny-corpus pair 1 change: 2 failed operations, the parent 1"]
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert errors == [f"error: {line}" for line in refused]
+    report = json.loads(out.read_text())
+    assert all(entry["pairs"] == 2 for entry in report["end_to_end"].values())
+    assert report["notes"][-1].endswith(": " + "; ".join(refused) + ".")

@@ -307,6 +307,28 @@ class TestExitCodes:
         )
         assert code == 2 and "data error:" in err
 
+    @pytest.mark.parametrize("command", ["build", "rules"])
+    def test_line_break_in_a_column_name(self, capsys, tmp_path, command):
+        source = tmp_path / "t.csv"
+        source.write_text('"a\nb",c,d\n0,0,0\n0,1,1\n1,0,1\n', encoding="utf-8")
+        target = tmp_path / "out.txt"
+        code, out, err = run(
+            capsys, command, "--table", str(source), "--type", "1", "--out", str(target)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"data error: {source}: attribute name 'a\\nb' holds a line break\n"
+        assert not target.exists()
+
+    def test_directory_without_csv(self, capsys, t0_csv, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, out, err = run(
+            capsys, "experiment", "--tables", str(t0_csv), str(empty),
+            "--types", "1", "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"data error: no CSV file in directory {empty}\n"
+
     def test_budget_exceeded(self, capsys, t0_csv):
         code, _, err = run(
             capsys, "build", "--table", str(t0_csv), "--type", "1",

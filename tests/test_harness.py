@@ -178,6 +178,13 @@ class TestExpandSources:
         got = expand_sources([str(tmp_path)])
         assert [name for name, _, _ in got] == ["a", "b"]
 
+    def test_directory_without_csv_fails_immediately(self, t0_csv, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "note.txt").write_text("not data", encoding="utf-8")
+        with pytest.raises(DataError, match="^no CSV file in directory .*empty$"):
+            expand_sources([str(t0_csv), str(empty)])
+
     def test_missing_file_is_deferred(self):
         assert expand_sources(["no/such.csv"]) == [("such", "no/such.csv", 0)]
 

@@ -18,6 +18,7 @@ from hypotree import (
     validate,
 )
 import hypotree.builder as builder
+import hypotree.metrics as metrics
 from hypotree.builder import TERMINAL, Routing
 from hypotree.rules import _row_optima
 
@@ -306,6 +307,11 @@ def reader_cases():
     rng = random.Random(2022)
     for index in range(30):
         yield pytest.param(small_table(rng), id=f"small{index}")
+    # A large table: every fourth board of ``ttt_centre_blank()``, 40 rows,
+    # whose trees have up to about 3,000 nodes; all 160 boards take 8 times as long.
+    full = ttt_centre_blank()
+    quarter = DecisionTable(full.attribute_names, full.values[::4], full.decisions[::4])
+    yield pytest.param(quarter, id="ttt-centre-blank-quarter")
 
 
 class TestReaderForms:
@@ -313,7 +319,6 @@ class TestReaderForms:
 
     @pytest.mark.parametrize("table", reader_cases())
     def test_both_forms_agree(self, table, monkeypatch):
-        assert table.n_rows <= 12
         for tree_type in (1, 2, 3, 4, 5):
             for measure in MEASURES:
                 for tamper in TAMPERINGS:
@@ -360,3 +365,21 @@ class TestReaderForms:
             rule_stats(table, tree)
             assert validate(table, tree).ok
             assert not tree._views
+
+    def test_large_tree_is_worded_only_when_faulty(self, monkeypatch):
+        calls = []
+        word = metrics._violations
+
+        def spy(*args):
+            calls.append(args)
+            return word(*args)
+
+        monkeypatch.setattr(metrics, "_violations", spy)
+        table = ttt_centre_blank()
+        assert table.n_rows >= builder._WIDE_ROUTING
+        tree = build_tree(table, 2, "me")
+        assert validate(table, tree).ok
+        assert calls == []
+        reached_label(tree)
+        assert not validate(table, tree).ok
+        assert len(calls) == 1

@@ -85,6 +85,8 @@ class TestConstruction:
             (("a",), [(0,), (1,)], [0.9, 1.2]),  # fractional decisions
             (("a",), [(1,), (1.2,)], [0, 1]),  # would truncate to equal rows
             (("a",), [(float("nan"),)], [0]),  # not a number
+            (("a\nb", "c"), [(0, 0), (0, 1)], [0, 1]),  # a line break in a name
+            (("a", "b\rc"), [(0, 0), (0, 1)], [0, 1]),
         ],
     )
     def test_invalid_tables_rejected(self, names, values, decisions):
